@@ -213,7 +213,7 @@ class ProgramGraph:
                 if symbol is not None and symbol[0] == "cls":
                     resolved.append(symbol[1])
                 else:
-                    # An external base (HTMLParser, NamedTuple ...) may
+                    # An external base (BaseHTTPRequestHandler, NamedTuple ...) may
                     # call overridden methods from outside the project.
                     external.add(cls_fqn)
             self._class_bases[cls_fqn] = tuple(resolved)

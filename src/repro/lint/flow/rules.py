@@ -246,8 +246,9 @@ class DeadCodeRule(ProgramRule):
         for fqn, node in graph.functions.items():
             if "." in node.qual and not node.is_module_body:
                 cls_fqn = f"{node.module}.{node.qual.rsplit('.', 1)[0]}"
-                # Overriding a method of an external base (HTMLParser's
-                # handle_data ...) means the framework calls it.
+                # Overriding a method of an external base
+                # (BaseHTTPRequestHandler's do_GET ...) means the framework
+                # calls it.
                 if cls_fqn in graph.externally_derived:
                     roots.append(fqn)
                     continue

@@ -139,22 +139,17 @@ def dumps(licenses: Iterable[License]) -> str:
     return buffer.getvalue()
 
 
-def _parse_records(lines: Iterable[str]) -> Iterator[License]:
-    current: dict | None = None
-
-    def finish(record: dict) -> License:
-        paths = []
-        for number in sorted(record["paths"]):
-            tx, rx = record["paths"][number]
-            freqs = tuple(record["freqs"].get(number, ()))
-            paths.append(
-                MicrowavePath(
-                    path_number=number,
-                    tx_location_number=tx,
-                    rx_location_number=rx,
-                    frequencies_mhz=freqs,
-                )
+def _finish(record: dict) -> License:
+    try:
+        paths = [
+            MicrowavePath(
+                path_number=number,
+                tx_location_number=tx,
+                rx_location_number=rx,
+                frequencies_mhz=tuple(record["freqs"].get(number, ())),
             )
+            for number, (tx, rx) in sorted(record["paths"].items())
+        ]
         return License(
             license_id=record["license_id"],
             callsign=record["callsign"],
@@ -169,76 +164,98 @@ def _parse_records(lines: Iterable[str]) -> Iterator[License]:
             locations=record["locations"],
             paths=paths,
         )
+    except ValueError as exc:
+        # Path and license checks (loops, dangling locations) run once the
+        # group is complete; report them at the group's HD line.
+        raise DumpFormatError(f"line {record['line']}: {exc}") from exc
 
+
+def _header(fields: list[str], line_number: int) -> dict:
+    if len(fields) != 9:
+        raise DumpFormatError("HD needs 9 fields")
+    return {
+        "line": line_number,
+        "license_id": fields[1],
+        "callsign": fields[2],
+        "service": fields[3],
+        "station_class": fields[4],
+        "grant": parse_date(fields[5]),
+        "expiration": parse_date(fields[6]),
+        "cancellation": parse_date(fields[7]),
+        "termination": parse_date(fields[8]),
+        "licensee_name": "",
+        "contact_email": "",
+        "locations": {},
+        "paths": {},
+        "freqs": {},
+    }
+
+
+def _add_record(current: dict | None, fields: list[str]) -> None:
+    """Fold one non-HD record into the open license group."""
+    tag = fields[0]
+    if current is None:
+        raise DumpFormatError(f"{tag} record before any HD")
+    if len(fields) < 2:
+        raise DumpFormatError(f"{tag} record has no license id")
+    if fields[1] != current["license_id"]:
+        raise DumpFormatError(
+            f"{tag} for {fields[1]!r} inside {current['license_id']!r} group"
+        )
+    if tag == "EN":
+        if len(fields) not in (3, 4):
+            raise DumpFormatError("EN needs 3 or 4 fields")
+        current["licensee_name"] = fields[2]
+        if len(fields) == 4:
+            current["contact_email"] = fields[3]
+    elif tag == "LO":
+        if len(fields) != 14:
+            raise DumpFormatError("LO needs 14 fields")
+        number = int(fields[2])
+        latitude = parse_uls_coordinate(fields[3], fields[4], fields[5], fields[6])
+        longitude = parse_uls_coordinate(fields[7], fields[8], fields[9], fields[10])
+        current["locations"][number] = TowerLocation(
+            location_number=number,
+            point=GeoPoint(latitude, longitude),
+            ground_elevation_m=float(fields[11]),
+            structure_height_m=float(fields[12]),
+            site_name=fields[13],
+        )
+    elif tag == "PA":
+        if len(fields) != 5:
+            raise DumpFormatError("PA needs 5 fields")
+        current["paths"][int(fields[2])] = (int(fields[3]), int(fields[4]))
+    elif tag == "FR":
+        if len(fields) != 4:
+            raise DumpFormatError("FR needs 4 fields")
+        frequency = float(fields[3])
+        if not math.isfinite(frequency) or frequency <= 0.0:
+            raise DumpFormatError(f"bad frequency {fields[3]!r}")
+        current["freqs"].setdefault(int(fields[2]), []).append(frequency)
+    else:
+        raise DumpFormatError(f"unknown record type {tag!r}")
+
+
+def _parse_records(lines: Iterable[str]) -> Iterator[License]:
+    current: dict | None = None
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
         fields = line.split("|")
-        tag = fields[0]
-        if tag == "HD":
-            if current is not None:
-                yield finish(current)
-            if len(fields) != 9:
-                raise DumpFormatError(f"line {line_number}: HD needs 9 fields")
-            current = {
-                "license_id": fields[1],
-                "callsign": fields[2],
-                "service": fields[3],
-                "station_class": fields[4],
-                "grant": parse_date(fields[5]),
-                "expiration": parse_date(fields[6]),
-                "cancellation": parse_date(fields[7]),
-                "termination": parse_date(fields[8]),
-                "licensee_name": "",
-                "contact_email": "",
-                "locations": {},
-                "paths": {},
-                "freqs": {},
-            }
-            continue
-        if current is None:
-            raise DumpFormatError(f"line {line_number}: {tag} record before any HD")
-        if fields[1] != current["license_id"]:
-            raise DumpFormatError(
-                f"line {line_number}: {tag} for {fields[1]!r} inside "
-                f"{current['license_id']!r} group"
-            )
-        if tag == "EN":
-            if len(fields) not in (3, 4):
-                raise DumpFormatError(f"line {line_number}: EN needs 3 or 4 fields")
-            current["licensee_name"] = fields[2]
-            if len(fields) == 4:
-                current["contact_email"] = fields[3]
-        elif tag == "LO":
-            if len(fields) != 14:
-                raise DumpFormatError(f"line {line_number}: LO needs 14 fields")
-            number = int(fields[2])
-            latitude = parse_uls_coordinate(fields[3], fields[4], fields[5], fields[6])
-            longitude = parse_uls_coordinate(fields[7], fields[8], fields[9], fields[10])
-            current["locations"][number] = TowerLocation(
-                location_number=number,
-                point=GeoPoint(latitude, longitude),
-                ground_elevation_m=float(fields[11]),
-                structure_height_m=float(fields[12]),
-                site_name=fields[13],
-            )
-        elif tag == "PA":
-            if len(fields) != 5:
-                raise DumpFormatError(f"line {line_number}: PA needs 5 fields")
-            current["paths"][int(fields[2])] = (int(fields[3]), int(fields[4]))
-        elif tag == "FR":
-            if len(fields) != 4:
-                raise DumpFormatError(f"line {line_number}: FR needs 4 fields")
-            frequency = float(fields[3])
-            if not math.isfinite(frequency) or frequency <= 0.0:
-                raise DumpFormatError(f"line {line_number}: bad frequency {fields[3]!r}")
-            current["freqs"].setdefault(int(fields[2]), []).append(frequency)
-        else:
-            raise DumpFormatError(f"line {line_number}: unknown record type {tag!r}")
+        if fields[0] == "HD" and current is not None:
+            yield _finish(current)
+        try:
+            if fields[0] == "HD":
+                current = _header(fields, line_number)
+            else:
+                _add_record(current, fields)
+        except (ValueError, OverflowError) as exc:
+            # Bad numbers, dates, hemispheres and field counts alike.
+            raise DumpFormatError(f"line {line_number}: {exc}") from exc
 
     if current is not None:
-        yield finish(current)
+        yield _finish(current)
 
 
 def read_uls_dump(source: str | Path | TextIO) -> list[License]:

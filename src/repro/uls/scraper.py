@@ -1,8 +1,11 @@
 """Scraping client for ULS portal pages.
 
 This is the data-collection half of the paper's tool (§2.2).  It drives
-the portal's search pages, parses the HTML with the standard library's
-:class:`html.parser.HTMLParser`, and rebuilds :class:`License` records.
+the portal's search pages, extracts the results tables and the detail
+page's heading/meta lines with a few regular expressions over the portal's
+fixed page grammar, and rebuilds :class:`License` records.  Every table's
+header and row widths are checked; a malformed page raises
+:class:`ScrapeError` naming the table and row.
 
 The scraper is written against page *structure* (table ids and column
 order), not against our renderer's internals, so it would work unchanged on
@@ -12,8 +15,9 @@ refetching detail pages, mirroring the original tool's on-disk cache.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
 
 from repro import obs
 from repro.geodesy import GeoPoint
@@ -53,100 +57,64 @@ class ScrapeError(ValueError):
     """Raised when a page cannot be parsed into the expected structure."""
 
 
-class _TableExtractor(HTMLParser):
-    """Collects every ``<table class="results">`` as a list of text rows.
-
-    Tables are keyed by their ``id`` attribute ("" when absent); each table
-    is a list of rows, each row a list of cell strings (header row
-    included).
-    """
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.tables: dict[str, list[list[str]]] = {}
-        self._table_order: list[str] = []
-        self._current_id: str | None = None
-        self._current_rows: list[list[str]] | None = None
-        self._current_row: list[str] | None = None
-        self._cell_parts: list[str] | None = None
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attributes = dict(attrs)
-        if tag == "table" and "results" in (attributes.get("class") or ""):
-            self._current_id = attributes.get("id") or f"table{len(self._table_order)}"
-            self._current_rows = []
-        elif tag == "tr" and self._current_rows is not None:
-            self._current_row = []
-        elif tag in ("td", "th") and self._current_row is not None:
-            self._cell_parts = []
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag in ("td", "th") and self._cell_parts is not None:
-            assert self._current_row is not None
-            self._current_row.append("".join(self._cell_parts).strip())
-            self._cell_parts = None
-        elif tag == "tr" and self._current_row is not None:
-            assert self._current_rows is not None
-            self._current_rows.append(self._current_row)
-            self._current_row = None
-        elif tag == "table" and self._current_rows is not None:
-            assert self._current_id is not None
-            self.tables[self._current_id] = self._current_rows
-            self._table_order.append(self._current_id)
-            self._current_rows = None
-            self._current_id = None
-
-    def handle_data(self, data: str) -> None:
-        if self._cell_parts is not None:
-            self._cell_parts.append(data)
-
-    def first_table(self) -> list[list[str]]:
-        if not self._table_order:
-            raise ScrapeError("page contains no results table")
-        return self.tables[self._table_order[0]]
+#: A ``<table>`` whose class names ``results``: (attributes, body).
+_TABLE_RE = re.compile(r'<table\b([^>]*class="[^"]*results[^>]*)>(.*?)</table>', re.S)
+_ID_RE = re.compile(r'(?:^|\s)id="([^"]*)"')
+_ROW_RE = re.compile(r"<tr\b[^>]*>(.*?)</tr>", re.S)
+_CELL_RE = re.compile(r"<t[dh]\b[^>]*>(.*?)</t[dh]>", re.S)
+_TAG_RE = re.compile(r"<[^>]*>")
 
 
-class _MetaExtractor(HTMLParser):
-    """Extracts the license id / service / class line and the page h1."""
+def _text(fragment: str) -> str:
+    """Markup-free, unescaped, stripped text of an HTML fragment."""
+    return unescape(_TAG_RE.sub("", fragment)).strip()
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self._in_meta = False
-        self._in_contact = False
-        self._in_h1 = False
-        self.meta_text = ""
-        self.contact_text = ""
-        self.heading = ""
 
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attributes = dict(attrs)
-        if tag == "p" and attributes.get("id") == "meta":
-            self._in_meta = True
-        elif tag == "p" and attributes.get("id") == "contact":
-            self._in_contact = True
-        elif tag == "h1":
-            self._in_h1 = True
+def _element_text(html: str, start_tag: str, end_tag: str) -> str:
+    """Text of the first ``start_tag ... end_tag`` element ("" if absent)."""
+    start = html.find(start_tag)
+    if start < 0:
+        return ""
+    end = html.find(end_tag, start)
+    return _text(html[start + len(start_tag) : end if end >= 0 else len(html)])
 
-    def handle_endtag(self, tag: str) -> None:
-        if tag == "p":
-            self._in_meta = False
-            self._in_contact = False
-        elif tag == "h1":
-            self._in_h1 = False
 
-    def handle_data(self, data: str) -> None:
-        if self._in_meta:
-            self.meta_text += data
-        if self._in_contact:
-            self.contact_text += data
-        if self._in_h1:
-            self.heading += data
+def _results_tables(html: str) -> dict[str, list[list[str]]]:
+    """Every ``<table class="results">`` as text rows (header row included),
+    keyed by ``id``, or ``table{n}`` (n = its position) when it has none."""
+    tables: dict[str, list[list[str]]] = {}
+    for position, match in enumerate(_TABLE_RE.finditer(html)):
+        table_id = _ID_RE.search(match[1])
+        tables[(table_id and table_id[1]) or f"table{position}"] = [
+            [_text(cell) for cell in _CELL_RE.findall(row)]
+            for row in _ROW_RE.findall(match[2])
+        ]
+    return tables
 
 
 def _parse_table_page(html: str) -> list[list[str]]:
-    extractor = _TableExtractor()
-    extractor.feed(html)
-    return extractor.first_table()
+    tables = _results_tables(html)
+    if not tables:
+        raise ScrapeError("page contains no results table")
+    return next(iter(tables.values()))
+
+
+def _table_rows(table: list[list[str]] | None, name: str, header: tuple, convert) -> list:
+    """``convert(*cells)`` for each data row of a results table whose header
+    must be ``header``; any malformed row raises :class:`ScrapeError`."""
+    if table is None:
+        raise ScrapeError(f"page is missing the {name!r} table")
+    if table[:1] != [list(header)]:
+        raise ScrapeError(f"unexpected {name} results header: {table[:1]!r}")
+    converted = []
+    for number, row in enumerate(table[1:], start=1):
+        if len(row) != len(header):
+            raise ScrapeError(f"{name} row {number}: {len(row)} cells, expected {len(header)}")
+        try:
+            converted.append(convert(*row))
+        except (ValueError, OverflowError) as exc:
+            raise ScrapeError(f"{name} row {number}: {exc}") from exc
+    return converted
 
 
 @dataclass
@@ -181,20 +149,9 @@ class UlsScraper:
             self.stats.search_pages += 1
             obs.count("uls.scraper.page.search")
             table = _parse_table_page(html)
-        header, rows = table[0], table[1:]
-        expected = ["Call Sign", "License ID", "Licensee", "Radio Service", "Station Class"]
-        if header != expected:
-            raise ScrapeError(f"unexpected geographic results header: {header!r}")
-        return [
-            {
-                "callsign": row[0],
-                "license_id": row[1],
-                "licensee_name": row[2],
-                "radio_service_code": row[3],
-                "station_class": row[4],
-            }
-            for row in rows
-        ]
+        keys = ("callsign", "license_id", "licensee_name", "radio_service_code", "station_class")
+        header = ("Call Sign", "License ID", "Licensee", "Radio Service", "Station Class")
+        return _table_rows(table, "geographic", header, lambda *row: dict(zip(keys, row)))
 
     def licenses_of(self, licensee_name: str) -> list[str]:
         """License ids filed by a licensee (name-search page)."""
@@ -203,7 +160,8 @@ class UlsScraper:
             self.stats.search_pages += 1
             obs.count("uls.scraper.page.search")
             table = _parse_table_page(html)
-        return [row[1] for row in table[1:]]
+        header = ("Call Sign", "License ID", "Licensee")
+        return _table_rows(table, "name search", header, lambda callsign, lid, name: lid)
 
     # ------------------------------------------------------------------
     # Detail pages
@@ -291,17 +249,46 @@ class UlsScraper:
 
     @staticmethod
     def _parse_detail(html: str) -> License:
-        tables = _TableExtractor()
-        tables.feed(html)
-        meta = _MetaExtractor()
-        meta.feed(html)
-
-        for required in ("dates", "locations", "paths"):
-            if required not in tables.tables:
-                raise ScrapeError(f"detail page missing {required!r} table")
+        tables = _results_tables(html)
+        dates = dict(
+            _table_rows(
+                tables.get("dates"),
+                "dates",
+                ("Event", "Date"),
+                lambda event, date: (event, parse_date("" if date == "—" else date)),
+            )
+        )
+        locations = {
+            loc.location_number: loc
+            for loc in _table_rows(
+                tables.get("locations"),
+                "locations",
+                ("Loc", "Latitude", "Longitude", "Ground Elev (m)", "Height (m)", "Site"),
+                lambda number, lat, lon, ground, height, site: TowerLocation(
+                    location_number=int(number),
+                    point=GeoPoint(parse_dms(lat), parse_dms(lon)),
+                    ground_elevation_m=float(ground),
+                    structure_height_m=float(height),
+                    site_name="" if site == "—" else site,
+                ),
+            )
+        }
+        paths = _table_rows(
+            tables.get("paths"),
+            "paths",
+            ("Path", "TX Loc", "RX Loc", "Frequencies (MHz)"),
+            lambda number, tx, rx, freqs: MicrowavePath(
+                path_number=int(number),
+                tx_location_number=int(tx),
+                rx_location_number=int(rx),
+                frequencies_mhz=(
+                    () if freqs == "—" else tuple(float(f) for f in freqs.split(","))
+                ),
+            ),
+        )
 
         meta_fields: dict[str, str] = {}
-        for chunk in meta.meta_text.split("|"):
+        for chunk in _element_text(html, '<p id="meta">', "</p>").split("|"):
             if ":" in chunk:
                 key, _, value = chunk.partition(":")
                 meta_fields[key.strip()] = value.strip()
@@ -309,62 +296,26 @@ class UlsScraper:
         if not license_id:
             raise ScrapeError("detail page has no license id")
 
-        contact_email = ""
-        if ":" in meta.contact_text:
-            value = meta.contact_text.partition(":")[2].strip()
-            contact_email = "" if value == "—" else value
-
-        heading = meta.heading
-        if "—" in heading:
-            callsign_part, _, licensee_name = heading.partition("—")
-            callsign = callsign_part.replace("License", "").strip()
-            licensee_name = licensee_name.strip()
-        else:
+        contact = _element_text(html, '<p id="contact">', "</p>").partition(":")[2].strip()
+        heading = _element_text(html, "<h1>", "</h1>")
+        if "—" not in heading:
             raise ScrapeError(f"unparseable detail heading: {heading!r}")
+        callsign_part, _, licensee_name = heading.partition("—")
 
-        dates: dict[str, str] = {}
-        for row in tables.tables["dates"][1:]:
-            dates[row[0]] = "" if row[1] == "—" else row[1]
-
-        locations: dict[int, TowerLocation] = {}
-        for row in tables.tables["locations"][1:]:
-            number = int(row[0])
-            locations[number] = TowerLocation(
-                location_number=number,
-                point=GeoPoint(parse_dms(row[1]), parse_dms(row[2])),
-                ground_elevation_m=float(row[3]),
-                structure_height_m=float(row[4]),
-                site_name="" if row[5] == "—" else row[5],
+        try:
+            return License(
+                license_id=license_id,
+                callsign=callsign_part.replace("License", "").strip(),
+                licensee_name=licensee_name.strip(),
+                contact_email="" if contact == "—" else contact,
+                radio_service_code=meta_fields.get("Radio Service", ""),
+                station_class=meta_fields.get("Station Class", ""),
+                grant_date=dates.get("Grant"),
+                expiration_date=dates.get("Expiration"),
+                cancellation_date=dates.get("Cancellation"),
+                termination_date=dates.get("Termination"),
+                locations=locations,
+                paths=paths,
             )
-
-        paths: list[MicrowavePath] = []
-        for row in tables.tables["paths"][1:]:
-            freq_text = row[3]
-            frequencies = (
-                ()
-                if freq_text == "—"
-                else tuple(float(part) for part in freq_text.split(","))
-            )
-            paths.append(
-                MicrowavePath(
-                    path_number=int(row[0]),
-                    tx_location_number=int(row[1]),
-                    rx_location_number=int(row[2]),
-                    frequencies_mhz=frequencies,
-                )
-            )
-
-        return License(
-            license_id=license_id,
-            callsign=callsign,
-            licensee_name=licensee_name,
-            contact_email=contact_email,
-            radio_service_code=meta_fields.get("Radio Service", ""),
-            station_class=meta_fields.get("Station Class", ""),
-            grant_date=parse_date(dates.get("Grant")),
-            expiration_date=parse_date(dates.get("Expiration")),
-            cancellation_date=parse_date(dates.get("Cancellation")),
-            termination_date=parse_date(dates.get("Termination")),
-            locations=locations,
-            paths=paths,
-        )
+        except ValueError as exc:
+            raise ScrapeError(f"detail page for {license_id!r}: {exc}") from exc

@@ -7,7 +7,7 @@ the scenario is also session-scoped and routed through the scenario's
 *default* :class:`~repro.core.engine.CorridorEngine` — snapshots computed
 for one test file warm the cache for every other (the CLI's commands use
 the same process-cached scenario, so even ``main(...)`` calls share it).
-The §2.2 scraping funnel (~3 s: it really scrapes ~3 000 portal pages)
+The §2.2 scraping funnel (~1 s: it really scrapes ~3 000 portal pages)
 runs once per session via ``funnel_result``.
 """
 

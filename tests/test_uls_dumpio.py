@@ -152,3 +152,48 @@ class TestPropertyRoundTrip:
             parsed = back.locations[number].point
             assert parsed.latitude == pytest.approx(location.point.latitude, abs=2e-7)
             assert parsed.longitude == pytest.approx(location.point.longitude, abs=2e-7)
+
+
+class TestMalformedRecords:
+    """Malformed lines raise DumpFormatError naming the line, never a bare
+    IndexError or ValueError."""
+
+    @pytest.mark.parametrize(
+        "line_index, old, new, match",
+        [
+            (1, "EN|L0001|Test Networks LLC|", "EN", "line 2: EN record has no license id"),
+            (2, "LO|L0001|1|", "LO|L0001|x|", "line 3: .*'x'"),
+            (2, "|N|", "|Q|", "line 3: bad hemisphere"),
+            (2, "|200.0|", "|high|", "line 3: .*'high'"),
+            (4, "PA|L0001|1|1|2", "PA|L0001|1|one|2", "line 5: .*'one'"),
+            (5, "|11225.0", "|11225,0", "line 6: .*'11225,0'"),
+            (0, "|2015-03-01|", "|2015-13-01|", "line 1: month"),
+            (4, "PA|L0001|1|1|2", "PA|L0001|1|1|9", "line 1: .*undefined rx location 9"),
+            (4, "PA|L0001|1|1|2", "PA|L0001|1|1|1", "line 1: .*loop back"),
+        ],
+    )
+    def test_bad_field(self, line_index, old, new, match):
+        lines = dumpio.dumps([make_license()]).splitlines()
+        assert old in lines[line_index]
+        lines[line_index] = lines[line_index].replace(old, new, 1)
+        with pytest.raises(dumpio.DumpFormatError, match=match):
+            dumpio.loads("\n".join(lines) + "\n")
+
+    @given(
+        batch=st.lists(licenses(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_or_mutated_lines(self, batch, data):
+        lines = dumpio.dumps(batch).splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[index]
+        cut = data.draw(st.integers(0, len(line)))
+        patch = data.draw(st.text(alphabet="0123456789-.|NSEWHDLOPAFR x", max_size=6))
+        lines[index] = line[:cut] + patch + line[cut + data.draw(st.integers(0, 6)):]
+        if data.draw(st.booleans()):
+            lines = lines[: index + 1]  # the dump ends mid-group
+        try:
+            dumpio.loads("\n".join(lines) + "\n")
+        except dumpio.DumpFormatError:
+            pass
