@@ -9,15 +9,16 @@ the flat-array kernel changes — the per-snapshot build cost itself.
 The columnar store is a per-database-generation artefact, built once and
 reused by every reconstruction at that generation; its build time is
 measured and reported separately (on a fresh unpickled database, the way
-a parallel worker pays it), *not* amortised into the per-sweep numbers —
+a newly loaded process pays it), *not* amortised into the per-sweep numbers —
 and also not charged to them, since every real driver builds exactly one
 store and then runs hundreds of snapshots over it.
 
 Pinned: both kernels produce element-wise identical networks for every
 licensee (asserted before any timing), and the columnar cold sweep is at
 least ``MIN_SPEEDUP`` faster than the object sweep.  Results land in
-``benchmarks/output/columnar.txt`` and the consolidated ``BENCH_PR6.json``
-at the repository root.
+``benchmarks/output/columnar.txt`` and the consolidated
+``out/bench/BENCH_PR6.json`` (git-ignored; the tracked root copy is
+history).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ TRIALS = 5
 
 SNAPSHOT_DATE = dt.date(2020, 4, 1)
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_PR6.json"
+BENCH_JSON = Path(__file__).parent.parent / "out" / "bench" / "BENCH_PR6.json"
 
 
 def _cold_sweep(engine, names, on_date):
@@ -69,8 +70,8 @@ def test_bench_columnar_cold_reconstruction(benchmark, scenario, output_dir):
     obj = CorridorEngine(scenario.database, scenario.corridor, kernel="object")
 
     # Store build: a per-generation one-time cost, measured on a fresh
-    # database the way a parallel worker pays it (stores are never
-    # pickled; workers rebuild from the shipped records).
+    # database the way a newly loaded process pays it (stores are never
+    # pickled; an unpickled database rebuilds from its records).
     fresh_database = pickle.loads(pickle.dumps(scenario.database))
     build_start = time.perf_counter()
     store = fresh_database.columnar_store()
@@ -107,6 +108,7 @@ def test_bench_columnar_cold_reconstruction(benchmark, scenario, output_dir):
         "store_paths": len(store.path_tx),
         "store_solutions": len(store.solutions),
     }
+    BENCH_JSON.parent.mkdir(parents=True, exist_ok=True)
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     lines = [

@@ -11,7 +11,8 @@ the program stage on the whole-tree fingerprint.
 Pinned: warm and cold runs report identical findings/suppression counts
 (asserted before any timing), and the warm run is at least ``MIN_SPEEDUP``
 faster than the cold one.  Results land in ``benchmarks/output/lint.txt``
-and the consolidated ``BENCH_PR7.json`` at the repository root.
+and the consolidated ``out/bench/BENCH_PR7.json`` (git-ignored; the
+tracked root copy is history).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ TRIALS = 3
 
 REPO_ROOT = Path(__file__).parent.parent
 
-BENCH_JSON = REPO_ROOT / "BENCH_PR7.json"
+BENCH_JSON = REPO_ROOT / "out" / "bench" / "BENCH_PR7.json"
 
 
 def _lint_once(config, cache_path: Path):
@@ -93,6 +94,7 @@ def test_bench_lint_incremental(benchmark, tmp_path, output_dir):
         "speedup": round(speedup, 2),
         "cache_bytes": cache_bytes,
     }
+    BENCH_JSON.parent.mkdir(parents=True, exist_ok=True)
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     lines = [

@@ -16,8 +16,9 @@ reported alongside (informationally, with only an errors==0 gate).
 Pinned: warm and cold services produce byte-identical payloads for every
 path in the mix (asserted before any timing), and the warm sweep is at
 least ``MIN_SPEEDUP`` faster than the cold sweep.  Results land in
-``benchmarks/output/serve.txt`` and the consolidated ``BENCH_PR8.json``
-at the repository root.
+``benchmarks/output/serve.txt`` and the consolidated
+``out/bench/BENCH_PR8.json`` (git-ignored; the tracked root copy is
+history).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ TRIALS = 3
 #: The replayed mix: the loadgen harness's default endpoint blend.
 PROFILE = LoadProfile(requests=40, clients=4, seed=7)
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_PR8.json"
+BENCH_JSON = Path(__file__).parent.parent / "out" / "bench" / "BENCH_PR8.json"
 
 
 def _sweep(service, urls):
@@ -106,6 +107,7 @@ def test_bench_serve_warm_vs_cold(benchmark, scenario, output_dir):
         "http_p99_ms": round(report.p99_ms, 2),
         "http_clients": report.clients,
     }
+    BENCH_JSON.parent.mkdir(parents=True, exist_ok=True)
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     lines = [

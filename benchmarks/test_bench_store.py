@@ -15,7 +15,8 @@ can nor should accelerate it; the store's job is the engine work.
 Pinned: the store-warmed boot answers the sweep byte-identically to the
 cold rebuild (asserted before any timing), and is at least
 ``MIN_SPEEDUP`` faster.  Results land in ``benchmarks/output/store.txt``
-and the consolidated ``BENCH_PR9.json`` at the repository root.
+and the consolidated ``out/bench/BENCH_PR9.json`` (git-ignored; the
+tracked root copy is history).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ DATES = tuple(
     if (year, month) <= (2020, 4)
 )
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_PR9.json"
+BENCH_JSON = Path(__file__).parent.parent / "out" / "bench" / "BENCH_PR9.json"
 
 
 def _boot_and_sweep(scenario, store):
@@ -108,6 +109,7 @@ def test_bench_store_warm_boot_vs_cold(
         "warm_s": round(warm_s, 4),
         "speedup": round(speedup, 2),
     }
+    BENCH_JSON.parent.mkdir(parents=True, exist_ok=True)
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     lines = [

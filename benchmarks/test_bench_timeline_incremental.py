@@ -12,7 +12,8 @@ fingerprint, exactly as the pre-index pipeline did.
 Pinned: the two engines produce element-wise identical timelines, and the
 incremental replay is at least ``MIN_SPEEDUP`` faster warm.  Results land
 in ``benchmarks/output/timeline_incremental.txt`` and the consolidated
-``BENCH_PR5.json`` at the repository root.
+``out/bench/BENCH_PR5.json`` (git-ignored; the tracked root copy is
+history).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ MIN_SPEEDUP = 3.0
 
 REPLAYS = 5
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_PR5.json"
+BENCH_JSON = Path(__file__).parent.parent / "out" / "bench" / "BENCH_PR5.json"
 
 
 def _replay(engine, names, dates):
@@ -87,6 +88,7 @@ def test_bench_timeline_incremental(benchmark, scenario, output_dir):
         "incremental_share": round(stats.incremental_share, 4),
         "index_events": stats.index_events,
     }
+    BENCH_JSON.parent.mkdir(parents=True, exist_ok=True)
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     lines = [

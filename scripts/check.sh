@@ -48,29 +48,14 @@ python -m pytest -q --ff
 # Engine equivalence in a fresh interpreter.
 python -m pytest -x -q tests/test_engine.py
 
-# Parallel determinism gate: analysis output must be byte-identical no
-# matter the fan-out width (repro.parallel's ordered reduction + cache
-# merge-back contract).  "timeline" covers the Fig 1/2 grid.
+# Kernel-equivalence gate: the columnar flat-array kernel must be
+# byte-identical to the object kernel in every driver output.
 for cmd in funnel timeline table1; do
-    if ! diff <(python -m repro "$cmd" --jobs 1) \
-              <(python -m repro "$cmd" --jobs 4); then
-        echo "check.sh: '$cmd' output differs between --jobs 1 and --jobs 4" >&2
+    if ! diff <(python -m repro "$cmd" --kernel columnar) \
+              <(python -m repro "$cmd" --kernel object); then
+        echo "check.sh: '$cmd' differs between --kernel columnar and --kernel object" >&2
         exit 1
     fi
-done
-
-# Kernel-equivalence gate: the columnar flat-array kernel must be
-# byte-identical to the object kernel in every driver output, serial and
-# fanned out (workers rebuild their own stores, so the fan-out exercises
-# the rebuild-not-pickle protocol too).
-for cmd in funnel timeline table1; do
-    for jobs in 1 4; do
-        if ! diff <(python -m repro "$cmd" --jobs "$jobs" --kernel columnar) \
-                  <(python -m repro "$cmd" --jobs "$jobs" --kernel object); then
-            echo "check.sh: '$cmd' --jobs $jobs differs between --kernel columnar and --kernel object" >&2
-            exit 1
-        fi
-    done
 done
 
 # Serve gate: a warm corridor analytics server must survive a seeded
@@ -82,54 +67,45 @@ python scripts/serve_smoke.py --requests 50 --clients 4
 # Incremental-evolution gate: cursor-based snapshot resolution must be
 # invisible in the output.  timeline (Fig 1 + Fig 2) is diffed against
 # its --no-incremental (full fingerprint rescan) twin on both the paper
-# grid and the dense monthly grid, serial and fanned out.
+# grid and the dense monthly grid.
 for step in "" "--step monthly"; do
-    for jobs in 1 4; do
-        if ! diff <(python -m repro timeline $step --jobs "$jobs") \
-                  <(python -m repro timeline $step --jobs "$jobs" --no-incremental); then
-            echo "check.sh: timeline $step --jobs $jobs differs under --no-incremental" >&2
-            exit 1
-        fi
-    done
+    if ! diff <(python -m repro timeline $step) \
+              <(python -m repro timeline $step --no-incremental); then
+        echo "check.sh: timeline $step differs under --no-incremental" >&2
+        exit 1
+    fi
 done
 
 # Persistent-store gate: the on-disk cache store (repro.store) may only
-# change speed, never bytes.  For each driver and fan-out width, three
-# runs must agree: truly cold (no store), cold-with-store (first
-# --cache-dir run, populating), and warm (second --cache-dir run,
-# loading what the first published).  Each command gets its own store
-# so a cache populated by one driver can't mask another's cold path.
+# change speed, never bytes.  For each driver, three runs must agree:
+# truly cold (no store), cold-with-store (first --cache-dir run,
+# populating), and warm (second --cache-dir run, loading what the first
+# published).  Each command gets its own store so a cache populated by
+# one driver can't mask another's cold path.
 store_dir=".repro-store-check"
 for cmd in funnel timeline table1; do
-    for jobs in 1 4; do
-        rm -rf "$store_dir"
-        if ! diff <(python -m repro "$cmd" --jobs "$jobs") \
-                  <(python -m repro "$cmd" --jobs "$jobs" --cache-dir "$store_dir"); then
-            echo "check.sh: '$cmd' --jobs $jobs differs between no-store and cold-with-store" >&2
-            exit 1
-        fi
-        if ! diff <(python -m repro "$cmd" --jobs "$jobs") \
-                  <(python -m repro "$cmd" --jobs "$jobs" --cache-dir "$store_dir"); then
-            echo "check.sh: '$cmd' --jobs $jobs differs between no-store and store-warmed" >&2
-            exit 1
-        fi
-    done
+    rm -rf "$store_dir"
+    if ! diff <(python -m repro "$cmd") \
+              <(python -m repro "$cmd" --cache-dir "$store_dir"); then
+        echo "check.sh: '$cmd' differs between no-store and cold-with-store" >&2
+        exit 1
+    fi
+    if ! diff <(python -m repro "$cmd") \
+              <(python -m repro "$cmd" --cache-dir "$store_dir"); then
+        echo "check.sh: '$cmd' differs between no-store and store-warmed" >&2
+        exit 1
+    fi
 done
 rm -rf "$store_dir"
 
 # Multi-scenario gate: every determinism contract above must hold for
 # *every* registered corridor, not just the paper's.  For each scenario
-# and driver: serial vs fanned-out must agree, and a store-warmed rerun
-# must agree with a no-store run (per-scenario fingerprints may share
-# one store directory without cross-talk).
+# and driver, a store-warmed rerun must agree with a no-store run
+# (per-scenario fingerprints may share one store directory without
+# cross-talk).
 for scenario in europe2020 tokyo-singapore; do
     rm -rf "$store_dir"
     for cmd in funnel timeline table1; do
-        if ! diff <(python -m repro "$cmd" --scenario "$scenario" --jobs 1) \
-                  <(python -m repro "$cmd" --scenario "$scenario" --jobs 4); then
-            echo "check.sh: '$cmd --scenario $scenario' differs between --jobs 1 and --jobs 4" >&2
-            exit 1
-        fi
         if ! diff <(python -m repro "$cmd" --scenario "$scenario") \
                   <(python -m repro "$cmd" --scenario "$scenario" --cache-dir "$store_dir"); then
             echo "check.sh: '$cmd --scenario $scenario' differs between no-store and cold-with-store" >&2

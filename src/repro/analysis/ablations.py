@@ -13,13 +13,6 @@ value (``scenario.engine(param=...)``), so snapshots computed under
 different parameterisations can never alias in a shared cache.  Sweeps
 that only vary a *metric* parameter (the APA slack) share the scenario's
 default engine.
-
-Every sweep accepts ``jobs`` (and an optional shared
-:class:`~repro.parallel.grid.GridSession`): at ``jobs=1`` the original
-serial loops run unchanged; above that, knob values fan out through the
-session, which routes each override set to a pooled, memo-seeded sibling
-engine and merges worker cache learning back — knob order in the result
-and every computed value are jobs-invariant.
 """
 
 from __future__ import annotations
@@ -31,51 +24,7 @@ from repro import obs
 from repro.core.latency import LatencyModel
 from repro.metrics.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
-from repro.parallel.grid import GridSession, grid_session
 from repro.synth.scenario import Scenario
-
-
-def _apa_slack_task(ctx, item):
-    licensee, date, slack = item
-    network = ctx.engine.snapshot(licensee, date)
-    return apa_percent(network, "CME", "NY4", slack=slack)
-
-
-def _fiber_mode_task(ctx, item):
-    licensee, date, _mode = item
-    network = ctx.engine.snapshot(licensee, date)
-    return apa_percent(network, "CME", "NY4")
-
-
-def _overhead_task(ctx, item):
-    licensees, date, overhead_us = item
-    latencies = {}
-    for name in licensees:
-        route = ctx.engine.route(name, date, "CME", "NY4")
-        if route is not None:
-            latencies[name] = route.latency_ms
-    leader = min(latencies, key=latencies.get) if latencies else ""
-    return OverheadCrossover(
-        overhead_us=overhead_us, leader=leader, latency_ms=latencies
-    )
-
-
-def _stitch_task(ctx, item):
-    licensee, date, _tolerance = item
-    network = ctx.engine.snapshot(licensee, date)
-    return (network.tower_count, network.is_connected("CME", "NY4"))
-
-
-def _fiber_radius_task(ctx, item):
-    licensees, date, _radius_km = item
-    rankings = rank_connected_networks(
-        ctx.database,
-        ctx.engine.corridor,
-        date,
-        licensees=list(licensees),
-        engine=ctx.engine,
-    )
-    return len(rankings)
 
 
 def apa_slack_sweep(
@@ -83,8 +32,6 @@ def apa_slack_sweep(
     licensee: str = "New Line Networks",
     slacks: tuple[float, ...] = (1.01, 1.02, 1.05, 1.10, 1.20),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[float, int]:
     """APA (CME–NY4) as a function of the latency-slack factor.
 
@@ -93,24 +40,17 @@ def apa_slack_sweep(
     """
     date = on_date or scenario.snapshot_date
     with obs.span("analysis.ablation", sweep="apa-slack", knobs=len(slacks)):
-        if jobs == 1 and session is None:
-            network = scenario.engine().snapshot(licensee, date)
-            return {
-                slack: apa_percent(network, "CME", "NY4", slack=slack)
-                for slack in slacks
-            }
-        items = [(licensee, date, slack) for slack in slacks]
-        with grid_session(scenario.engine(), jobs, session) as live:
-            values = live.map(_apa_slack_task, items, label="apa-slack")
-        return dict(zip(slacks, values))
+        network = scenario.engine().snapshot(licensee, date)
+        return {
+            slack: apa_percent(network, "CME", "NY4", slack=slack)
+            for slack in slacks
+        }
 
 
 def fiber_mode_comparison(
     scenario: Scenario,
     licensee: str = "New Line Networks",
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[str, int]:
     """APA under the two fiber-attachment readings of §2.3.
 
@@ -122,23 +62,11 @@ def fiber_mode_comparison(
     date = on_date or scenario.snapshot_date
     modes = ("nearest", "all")
     with obs.span("analysis.ablation", sweep="fiber-mode", knobs=len(modes)):
-        if jobs == 1 and session is None:
-            result = {}
-            for mode in modes:
-                network = scenario.engine(fiber_mode=mode).snapshot(
-                    licensee, date
-                )
-                result[mode] = apa_percent(network, "CME", "NY4")
-            return result
-        items = [(licensee, date, mode) for mode in modes]
-        with grid_session(scenario.engine(), jobs, session) as live:
-            values = live.map(
-                _fiber_mode_task,
-                items,
-                params=lambda item: {"fiber_mode": item[2]},
-                label="fiber-mode",
-            )
-        return dict(zip(modes, values))
+        result = {}
+        for mode in modes:
+            network = scenario.engine(fiber_mode=mode).snapshot(licensee, date)
+            result[mode] = apa_percent(network, "CME", "NY4")
+        return result
 
 
 @dataclass(frozen=True)
@@ -155,8 +83,6 @@ def per_tower_overhead_crossover(
     overheads_us: tuple[float, ...] = (0.0, 0.5, 1.0, 1.4, 2.0, 3.0),
     licensees: tuple[str, ...] = ("New Line Networks", "Jefferson Microwave"),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[OverheadCrossover]:
     """§3's what-if: sweep the per-tower repeater overhead.
 
@@ -167,41 +93,22 @@ def per_tower_overhead_crossover(
     with obs.span(
         "analysis.ablation", sweep="per-tower-overhead", knobs=len(overheads_us)
     ):
-        if jobs == 1 and session is None:
-            return _overhead_crossovers(scenario, overheads_us, licensees, date)
-        items = [
-            (licensees, date, overhead_us) for overhead_us in overheads_us
-        ]
-        with grid_session(scenario.engine(), jobs, session) as live:
-            return live.map(
-                _overhead_task,
-                items,
-                params=lambda item: {
-                    "latency_model": LatencyModel(
-                        per_tower_overhead_s=item[2] * 1e-6
-                    )
-                },
-                label="per-tower-overhead",
+        results = []
+        for overhead_us in overheads_us:
+            model = LatencyModel(per_tower_overhead_s=overhead_us * 1e-6)
+            engine = scenario.engine(latency_model=model)
+            latencies = {}
+            for name in licensees:
+                route = engine.route(name, date, "CME", "NY4")
+                if route is not None:
+                    latencies[name] = route.latency_ms
+            leader = min(latencies, key=latencies.get) if latencies else ""
+            results.append(
+                OverheadCrossover(
+                    overhead_us=overhead_us, leader=leader, latency_ms=latencies
+                )
             )
-
-
-def _overhead_crossovers(scenario, overheads_us, licensees, date):
-    results = []
-    for overhead_us in overheads_us:
-        model = LatencyModel(per_tower_overhead_s=overhead_us * 1e-6)
-        engine = scenario.engine(latency_model=model)
-        latencies = {}
-        for name in licensees:
-            route = engine.route(name, date, "CME", "NY4")
-            if route is not None:
-                latencies[name] = route.latency_ms
-        leader = min(latencies, key=latencies.get) if latencies else ""
-        results.append(
-            OverheadCrossover(
-                overhead_us=overhead_us, leader=leader, latency_ms=latencies
-            )
-        )
-    return results
+        return results
 
 
 def stitch_tolerance_sweep(
@@ -209,8 +116,6 @@ def stitch_tolerance_sweep(
     licensee: str = "New Line Networks",
     tolerances_m: tuple[float, ...] = (1.0, 10.0, 30.0, 100.0, 1000.0),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[float, tuple[int, bool]]:
     """(tower count, connected?) as the stitching tolerance varies.
 
@@ -221,61 +126,36 @@ def stitch_tolerance_sweep(
     with obs.span(
         "analysis.ablation", sweep="stitch-tolerance", knobs=len(tolerances_m)
     ):
-        if jobs == 1 and session is None:
-            result = {}
-            for tolerance in tolerances_m:
-                network = scenario.engine(
-                    stitch_tolerance_m=tolerance
-                ).snapshot(licensee, date)
-                result[tolerance] = (
-                    network.tower_count,
-                    network.is_connected("CME", "NY4"),
-                )
-            return result
-        items = [(licensee, date, tolerance) for tolerance in tolerances_m]
-        with grid_session(scenario.engine(), jobs, session) as live:
-            values = live.map(
-                _stitch_task,
-                items,
-                params=lambda item: {"stitch_tolerance_m": item[2]},
-                label="stitch-tolerance",
+        result = {}
+        for tolerance in tolerances_m:
+            network = scenario.engine(stitch_tolerance_m=tolerance).snapshot(
+                licensee, date
             )
-        return dict(zip(tolerances_m, values))
+            result[tolerance] = (
+                network.tower_count,
+                network.is_connected("CME", "NY4"),
+            )
+        return result
 
 
 def fiber_radius_sweep(
     scenario: Scenario,
     radii_km: tuple[float, ...] = (1.0, 5.0, 25.0, 50.0, 100.0),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[float, int]:
     """How many networks stay CME–NY4 connected as the fiber reach shrinks."""
     date = on_date or scenario.snapshot_date
     with obs.span(
         "analysis.ablation", sweep="fiber-radius", knobs=len(radii_km)
     ):
-        if jobs == 1 and session is None:
-            result = {}
-            for radius_km in radii_km:
-                rankings = rank_connected_networks(
-                    scenario.database,
-                    scenario.corridor,
-                    date,
-                    licensees=list(scenario.connected_names),
-                    engine=scenario.engine(
-                        max_fiber_tail_m=radius_km * 1000.0
-                    ),
-                )
-                result[radius_km] = len(rankings)
-            return result
-        names = tuple(scenario.connected_names)
-        items = [(names, date, radius_km) for radius_km in radii_km]
-        with grid_session(scenario.engine(), jobs, session) as live:
-            values = live.map(
-                _fiber_radius_task,
-                items,
-                params=lambda item: {"max_fiber_tail_m": item[2] * 1000.0},
-                label="fiber-radius",
+        result = {}
+        for radius_km in radii_km:
+            rankings = rank_connected_networks(
+                scenario.database,
+                scenario.corridor,
+                date,
+                licensees=list(scenario.connected_names),
+                engine=scenario.engine(max_fiber_tail_m=radius_km * 1000.0),
             )
-        return dict(zip(radii_km, values))
+            result[radius_km] = len(rankings)
+        return result

@@ -69,7 +69,7 @@ class CorridorComparison:
         }
 
 
-def compare_corridor(ref: str, jobs: int = 1) -> CorridorComparison:
+def compare_corridor(ref: str) -> CorridorComparison:
     """The hybrid comparison row for one scenario reference."""
     scenario = resolve_scenario(ref)
     source, target = scenario.primary_path
@@ -81,7 +81,6 @@ def compare_corridor(ref: str, jobs: int = 1) -> CorridorComparison:
         source=source,
         target=target,
         engine=scenario.engine(),
-        jobs=jobs,
     )
     best = rankings[0] if rankings else None
     return CorridorComparison(
@@ -99,7 +98,7 @@ def compare_corridor(ref: str, jobs: int = 1) -> CorridorComparison:
 
 
 def compare_corridors(
-    refs: tuple[str, ...] | None = None, jobs: int = 1
+    refs: tuple[str, ...] | None = None,
 ) -> list[CorridorComparison]:
     """Hybrid rows for every requested corridor, shortest first.
 
@@ -110,7 +109,7 @@ def compare_corridors(
     """
     if refs is None:
         refs = scenario_names(concrete_only=True)
-    with obs.span("analysis.compare", corridors=len(refs), jobs=jobs):
-        rows = [compare_corridor(ref, jobs=jobs) for ref in refs]
+    with obs.span("analysis.compare", corridors=len(refs)):
+        rows = [compare_corridor(ref) for ref in refs]
     rows.sort(key=lambda row: (row.geodesic_km, row.scenario))
     return rows

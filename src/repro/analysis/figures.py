@@ -19,35 +19,9 @@ from repro.metrics.frequencies import (
     shortest_path_frequencies_ghz,
 )
 from repro.metrics.link_lengths import near_optimal_link_lengths_km
-from repro.parallel.executor import chunk_spans
-from repro.parallel.grid import GridSession, grid_session
 from repro.synth.scenario import Scenario
 from repro.viz.geojson import network_to_geojson
 from repro.viz.svgmap import render_network_svg
-
-#: Fan a licensee's dates out in contiguous chunks once the grid is this
-#: dense.  Each chunk is an ascending date span, so every worker evolves
-#: its snapshot cursors incrementally within the span; results are
-#: concatenated per licensee, which reproduces the serial series exactly
-#: (each point is a pure function of licensee and date).
-_DATE_CHUNK_THRESHOLD = 16
-
-
-def _fig1_task(ctx, item):
-    name, dates, source, target = item
-    return ctx.engine.timeline(name, dates, source=source, target=target)
-
-
-def _fig2_task(ctx, item):
-    name, dates = item
-    return license_count_timeline(ctx.database, name, dates)
-
-
-def _date_spans(dates, jobs: int) -> list[tuple[int, int]] | None:
-    """Contiguous per-licensee date spans, or None to keep whole grids."""
-    if jobs > 1 and len(dates) >= _DATE_CHUNK_THRESHOLD:
-        return chunk_spans(len(dates), jobs)
-    return None
 
 
 def fig1_latency_evolution(
@@ -56,92 +30,40 @@ def fig1_latency_evolution(
     dates: list[dt.date] | None = None,
     source: str | None = None,
     target: str | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[str, list[TimelinePoint]]:
-    """Fig 1: primary-path latency trajectories of the featured networks.
-
-    The licensee × date grid fans out one licensee per task when
-    ``jobs > 1`` (or a ``session`` is passed); results and cache learning
-    land in submission order, so output is jobs-invariant.  Dense grids
-    (``--step monthly``/``weekly``) additionally split each licensee's
-    dates into contiguous spans so workers evolve snapshots
-    incrementally within their span; the per-licensee series is the
-    concatenation of its spans, identical to the unchunked result.
-    """
+    """Fig 1: primary-path latency trajectories of the featured networks."""
     licensees = licensees or scenario.featured_names
     source, target = scenario.corridor.resolve_path(source, target)
     dates = list(dates or yearly_snapshot_dates())
     with obs.span(
         "analysis.fig1", licensees=len(licensees), points=len(dates)
     ):
-        if jobs == 1 and session is None:
-            engine = scenario.engine()
-            return {
-                name: engine.timeline(name, dates, source=source, target=target)
-                for name in licensees
-            }
-        with grid_session(scenario.engine(), jobs, session) as live:
-            spans = _date_spans(dates, live.jobs)
-            if spans is None:
-                items = [(name, dates, source, target) for name in licensees]
-                series = live.map(_fig1_task, items, label="fig1")
-                return dict(zip(licensees, series))
-            items = [
-                (name, dates[lo:hi], source, target)
-                for name in licensees
-                for lo, hi in spans
-            ]
-            chunks = iter(live.map(_fig1_task, items, label="fig1"))
-            return {
-                name: [point for _ in spans for point in next(chunks)]
-                for name in licensees
-            }
+        engine = scenario.engine()
+        return {
+            name: engine.timeline(name, dates, source=source, target=target)
+            for name in licensees
+        }
 
 
 def fig2_active_licenses(
     scenario: Scenario,
     licensees: tuple[str, ...] | None = None,
     dates: list[dt.date] | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[str, LicenseCountSeries]:
     """Fig 2: active-license counts for the same networks.
 
     Counts come from each licensee's temporal index (one bisect per
-    point); dense grids fan out in contiguous date spans exactly like
-    :func:`fig1_latency_evolution`.
+    point).
     """
     licensees = licensees or scenario.featured_names
     dates = list(dates or yearly_snapshot_dates())
     with obs.span(
         "analysis.fig2", licensees=len(licensees), points=len(dates)
     ):
-        if jobs == 1 and session is None:
-            return {
-                name: license_count_timeline(scenario.database, name, dates)
-                for name in licensees
-            }
-        with grid_session(scenario.engine(), jobs, session) as live:
-            spans = _date_spans(dates, live.jobs)
-            if spans is None:
-                items = [(name, dates) for name in licensees]
-                series = live.map(_fig2_task, items, label="fig2")
-                return dict(zip(licensees, series))
-            items = [
-                (name, dates[lo:hi]) for name in licensees for lo, hi in spans
-            ]
-            chunks = iter(live.map(_fig2_task, items, label="fig2"))
-            return {
-                name: LicenseCountSeries(
-                    licensee=name,
-                    dates=tuple(dates),
-                    counts=tuple(
-                        count for _ in spans for count in next(chunks).counts
-                    ),
-                )
-                for name in licensees
-            }
+        return {
+            name: license_count_timeline(scenario.database, name, dates)
+            for name in licensees
+        }
 
 
 @dataclass(frozen=True)

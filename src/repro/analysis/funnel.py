@@ -20,21 +20,10 @@ from repro.constants import (
 )
 from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
-from repro.parallel.grid import grid_session
 from repro.uls.database import UlsDatabase
 from repro.uls.portal import UlsPortal
 from repro.uls.records import licenses_by_licensee
 from repro.uls.scraper import UlsScraper
-
-
-def _connect_task(ctx, item):
-    name, on_date, source, target = item
-    licenses = ctx.scraper.scrape_licensee(name)
-    grouped = licenses_by_licensee(licenses)
-    network = ctx.engine.snapshot_from_licenses(
-        grouped[name], on_date, licensee=name
-    )
-    return network.is_connected(source, target)
 
 
 @dataclass(frozen=True)
@@ -65,7 +54,6 @@ def run_scraping_funnel(
     source: str | None = None,
     target: str | None = None,
     engine: CorridorEngine | None = None,
-    jobs: int = 1,
 ) -> FunnelResult:
     """Replay §2.2 through the portal + scraper.
 
@@ -77,13 +65,6 @@ def run_scraping_funnel(
     snapshots live under content-digested cache keys — they reuse the
     engine's memo but never alias (or overwrite) the database-derived
     snapshots the ranking/timeline drivers serve.
-
-    With ``jobs > 1``, stage 2 batches its name searches through
-    :meth:`~repro.uls.scraper.UlsScraper.count_filings` and stage 3 fans
-    licensees out through a grid session; worker page counts, parsed
-    licenses, and engine caches merge back, so every funnel field —
-    including ``pages_scraped`` — is jobs-invariant (each licensee's
-    detail pages are its own, so no worker refetches another's).
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
@@ -111,46 +92,27 @@ def run_scraping_funnel(
         # Stage 2: scrape every candidate's license list; shortlist
         # licensees with enough filings to span the corridor.
         with obs.span("analysis.funnel.shortlist", candidates=len(candidates)):
-            if jobs == 1:
-                shortlisted = [
-                    name
-                    for name in candidates
-                    if len(scraper.licenses_of(name)) >= min_filings
-                ]
-            else:
-                counts = scraper.count_filings(candidates, jobs=jobs)
-                shortlisted = [
-                    name
-                    for name, count in zip(candidates, counts)
-                    if count >= min_filings
-                ]
+            shortlisted = [
+                name
+                for name in candidates
+                if len(scraper.licenses_of(name)) >= min_filings
+            ]
 
         # Stage 3: scrape the shortlisted licensees' license details and
         # reconstruct their networks at the snapshot date.
         connected = []
         with obs.span("analysis.funnel.connect", shortlisted=len(shortlisted)):
-            if jobs == 1:
-                for name in shortlisted:
-                    licenses = scraper.scrape_licensee(name)
-                    grouped = licenses_by_licensee(licenses)
-                    network = engine.snapshot_from_licenses(
-                        grouped[name], on_date, licensee=name
-                    )
-                    if network.is_connected(source, target):
-                        connected.append(name)
-            else:
-                items = [
-                    (name, on_date, source, target) for name in shortlisted
-                ]
-                with grid_session(engine, jobs, scraper=scraper) as live:
-                    flags = live.map(_connect_task, items, label="funnel")
-                connected = [
-                    name for name, flag in zip(shortlisted, flags) if flag
-                ]
+            for name in shortlisted:
+                licenses = scraper.scrape_licensee(name)
+                grouped = licenses_by_licensee(licenses)
+                network = engine.snapshot_from_licenses(
+                    grouped[name], on_date, licensee=name
+                )
+                if network.is_connected(source, target):
+                    connected.append(name)
 
-    # All portal traffic flows through the scraper, so its absorbed page
-    # counts equal portal.page_requests at jobs=1 and additionally include
-    # worker pages when fanned out.
+    # All portal traffic flows through the scraper, so its page counts
+    # equal portal.page_requests.
     pages_scraped = scraper.stats.search_pages + scraper.stats.detail_pages
     return FunnelResult(
         candidate_licensees=tuple(candidates),

@@ -13,7 +13,6 @@ from repro.metrics.rankings import (
     rank_connected_networks,
     top_networks_per_path,
 )
-from repro.parallel.grid import GridSession, grid_session
 from repro.synth.scenario import Scenario
 
 
@@ -22,8 +21,6 @@ def table1_connected_networks(
     on_date: dt.date | None = None,
     source: str | None = None,
     target: str | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[NetworkRanking]:
     """Table 1: connected networks by increasing primary-path latency."""
     date = on_date or scenario.snapshot_date
@@ -35,8 +32,6 @@ def table1_connected_networks(
             source=source,
             target=target,
             engine=scenario.engine(),
-            jobs=jobs,
-            session=session,
         )
 
 
@@ -44,8 +39,6 @@ def table2_top_networks(
     scenario: Scenario,
     on_date: dt.date | None = None,
     top_n: int = 3,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[PathTopRanking]:
     """Table 2: the fastest ``top_n`` networks per corridor path."""
     date = on_date or scenario.snapshot_date
@@ -56,8 +49,6 @@ def table2_top_networks(
             date,
             top_n=top_n,
             engine=scenario.engine(),
-            jobs=jobs,
-            session=session,
         )
 
 
@@ -69,47 +60,26 @@ class ApaRow:
     values: dict[str, int]
 
 
-def _table3_task(ctx, item):
-    name, date, paths = item
-    network = ctx.engine.snapshot(name, date)
-    return {
-        path: apa_percent(network, path[0], path[1]) for path in paths
-    }
-
-
 def table3_apa(
     scenario: Scenario,
     licensees: tuple[str, ...] | None = None,
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[ApaRow]:
     """Table 3: per-path APA for selected networks (default: the
-    scenario's spotlight pair, the paper's NLN vs WH).
-
-    Fans out one licensee per task (its full APA column) when parallel;
-    rows are reassembled path-major either way.
-    """
+    scenario's spotlight pair, the paper's NLN vs WH)."""
     if licensees is None:
         licensees = scenario.spotlight_names
     date = on_date or scenario.snapshot_date
     engine = scenario.engine()
     paths = tuple(scenario.corridor.paths)
     with obs.span("analysis.table3", date=date.isoformat()):
-        if jobs == 1 and session is None:
-            networks = {name: engine.snapshot(name, date) for name in licensees}
-            columns = {
-                name: {
-                    path: apa_percent(network, path[0], path[1])
-                    for path in paths
-                }
-                for name, network in networks.items()
+        networks = {name: engine.snapshot(name, date) for name in licensees}
+        columns = {
+            name: {
+                path: apa_percent(network, path[0], path[1]) for path in paths
             }
-        else:
-            items = [(name, date, paths) for name in licensees]
-            with grid_session(engine, jobs, session) as live:
-                results = live.map(_table3_task, items, label="table3")
-            columns = dict(zip(licensees, results))
+            for name, network in networks.items()
+        }
         return [
             ApaRow(
                 path=path,

@@ -81,7 +81,6 @@ def _cmd_funnel(args: argparse.Namespace) -> int:
         scenario.corridor,
         args.date or scenario.snapshot_date,
         engine=scenario.engine(),
-        jobs=args.jobs,
     )
     candidates, shortlisted, connected = result.counts
     print(f"candidate licensees: {candidates}")
@@ -103,7 +102,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         )
         print(render_payload(payload))
         return 0
-    rankings = table1_connected_networks(scenario, args.date, jobs=args.jobs)
+    rankings = table1_connected_networks(scenario, args.date)
     rows = [
         (r.licensee, format_latency_ms(r.latency_ms), r.apa_percent, r.tower_count)
         for r in rankings
@@ -122,7 +121,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
     rows = []
-    for path_ranking in table2_top_networks(scenario, args.date, jobs=args.jobs):
+    for path_ranking in table2_top_networks(scenario, args.date):
         for rank, entry in enumerate(path_ranking.top, start=1):
             rows.append(
                 (
@@ -151,7 +150,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         )
         print(render_payload(payload))
         return 0
-    apa_rows = table3_apa(scenario, on_date=args.date, jobs=args.jobs)
+    apa_rows = table3_apa(scenario, on_date=args.date)
     names = list(apa_rows[0].values)
     rows = [
         (f"{row.path[0]}-{row.path[1]}", *(f"{row.values[n]}%" for n in names))
@@ -172,21 +171,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         print(render_payload(payload))
         return 0
     dates = dense_date_grid(args.step) if args.step != "paper" else None
-    if args.jobs == 1:
-        latencies = fig1_latency_evolution(scenario, dates=dates)
-        counts = fig2_active_licenses(scenario, dates=dates)
-    else:
-        from repro.parallel import GridSession
-
-        # One session (one pool, one set of merged caches) serves both
-        # figure grids.
-        with GridSession(
-            scenario.engine(), args.jobs, scenario=scenario.name
-        ) as session:
-            latencies = fig1_latency_evolution(
-                scenario, dates=dates, session=session
-            )
-            counts = fig2_active_licenses(scenario, dates=dates, session=session)
+    latencies = fig1_latency_evolution(scenario, dates=dates)
+    counts = fig2_active_licenses(scenario, dates=dates)
     dates = next(iter(counts.values())).dates
     header = ("Licensee", *(d.isoformat() for d in dates))
     latency_rows = [
@@ -527,7 +513,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.serve.payloads import render_payload
 
     refs = tuple(args.scenarios) if args.scenarios else None
-    rows = compare_corridors(refs, jobs=args.jobs)
+    rows = compare_corridors(refs)
     if args.format == "json":
         payload = {
             "endpoint": "compare",
@@ -695,8 +681,8 @@ def _cmd_lint_graph(args: argparse.Namespace, config) -> int:
 
 
 def _obs_parent_parser() -> argparse.ArgumentParser:
-    """The ``--trace``/``--metrics``/``--jobs`` flags shared by every
-    subcommand."""
+    """The observability, execution and persistence flags shared by
+    every subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("observability")
     group.add_argument(
@@ -715,11 +701,6 @@ def _obs_parent_parser() -> argparse.ArgumentParser:
         "('paper2020', 'europe2020', 'tokyo-singapore') or the "
         "parameterized generator ('synthetic:seed=7,networks=12,...'); "
         "default paper2020",
-    )
-    execution.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan analysis work out over N logical workers "
-        "(repro.parallel; output is byte-identical for any N)",
     )
     execution.add_argument(
         "--no-incremental", action="store_true",
@@ -982,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--why", default=None, metavar="MODULE.FN",
         help="(graph) explain one function: definition site, direct and "
-        "transitive effects with call chains, worker/CLI reachability",
+        "transitive effects with call chains, CLI reachability",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser
@@ -993,14 +974,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "no_incremental", False):
         # Flip the module default before any engine is constructed: the
         # scenario's shared engine is built lazily on first use, so every
-        # consumer (and every worker it spawns) inherits full-scan mode.
+        # consumer inherits full-scan mode.
         from repro.core import engine as engine_mod
 
         engine_mod.INCREMENTAL_DEFAULT = False
     if getattr(args, "kernel", None):
         # Same pre-construction window as --no-incremental: engines pin
-        # their kernel at build time and workers inherit it through the
-        # parallel cache-transplant protocol.
+        # their kernel at build time.
         from repro.core import engine as engine_mod
 
         engine_mod.KERNEL_DEFAULT = args.kernel

@@ -216,10 +216,6 @@ class _LruCache:
         """Every cached (key, value) pair, LRU order (oldest first)."""
         return tuple(self._entries.items())
 
-    def keys(self) -> frozenset:
-        """The cached keys (for delta computation)."""
-        return frozenset(self._entries)
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -232,25 +228,15 @@ class _LruCache:
         )
 
 
-def _counter_delta(now: CacheCounter, before: CacheCounter) -> CacheCounter:
-    """Counter activity between two snapshots (``size`` = current size)."""
-    return CacheCounter(
-        hits=now.hits - before.hits,
-        misses=now.misses - before.misses,
-        evictions=now.evictions - before.evictions,
-        size=now.size,
-    )
-
-
 @dataclass(frozen=True)
 class EngineCacheExport:
     """A picklable copy of an engine's cache *contents* (no counters).
 
     Produced by :meth:`CorridorEngine.export_cache_state` and installed
-    with :meth:`CorridorEngine.seed_cache_state`: the parallel layer ships
-    one of these to each worker so a fanned-out grid starts from the same
-    warm state a serial run would have at that point.  Every entry is
-    exact (memoised Vincenty solutions, the cached network/route objects
+    with :meth:`CorridorEngine.seed_cache_state`: the persistent store
+    (:mod:`repro.store`) writes one of these per engine so a later
+    process starts from the same warm state.  Every entry is exact
+    (memoised Vincenty solutions, the cached network/route objects
     themselves), so seeding never perturbs results.
     """
 
@@ -259,41 +245,9 @@ class EngineCacheExport:
     routes: tuple[tuple[Hashable, Route | None], ...]
     geodesic: tuple[tuple[tuple, tuple], ...]
     #: Per-licensee snapshot cursors ((licensee, date, key, generation)),
-    #: sorted by licensee — workers adopt them so their first touch of a
-    #: cursored licensee evolves incrementally, exactly as the parent
-    #: would have.
-    cursors: tuple[tuple[str, dt.date, tuple, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class EngineCacheBaseline:
-    """Key sets + counters at one instant (delta bookkeeping, not pickled)."""
-
-    snapshot_keys: frozenset
-    route_keys: frozenset
-    geodesic_keys: frozenset
-    stats: CacheStats
-
-
-@dataclass(frozen=True)
-class EngineCacheDelta:
-    """What one engine learned since a baseline: new entries + counters.
-
-    Workers return these to the parent process, which
-    :meth:`CorridorEngine.absorb_cache_delta`\\ s them so the parallel run
-    leaves the parent engine in the same warm cache state a serial run
-    would — entries are installed without inflating hit/miss counters and
-    the worker's counter activity is added on top.
-    """
-
-    params_key: tuple
-    snapshots: tuple[tuple[Hashable, HftNetwork], ...]
-    routes: tuple[tuple[Hashable, Route | None], ...]
-    geodesic: tuple[tuple[tuple, tuple], ...]
-    stats: CacheStats
-    #: The worker's snapshot cursors at collection time (same shape as
-    #: :attr:`EngineCacheExport.cursors`); the parent adopts them so its
-    #: next request for those licensees evolves incrementally.
+    #: sorted by licensee — a seeded engine adopts them so its first touch
+    #: of a cursored licensee evolves incrementally, exactly as the
+    #: exporting engine would have.
     cursors: tuple[tuple[str, dt.date, tuple, int], ...] = ()
 
 
@@ -433,8 +387,7 @@ class CorridorEngine:
         # The engine's caches (LRU dicts, cursors, counters) are not
         # internally synchronised; concurrent callers serialise through
         # this lock (see repro.serve.facade.EngineFacade).  Engines are
-        # never pickled — parallel workers rebuild their own — so the
-        # lock never crosses a process boundary.
+        # never pickled, so the lock never crosses a process boundary.
         self._lock = threading.RLock()
         if store is None:
             store = STORE_DEFAULT
@@ -877,7 +830,7 @@ class CorridorEngine:
         self._cursors.clear()
 
     # ------------------------------------------------------------------
-    # Cache transplanting (the repro.parallel merge-back protocol)
+    # Cache export and seeding (the persistent store's payload)
     # ------------------------------------------------------------------
 
     def export_cache_state(
@@ -959,84 +912,6 @@ class CorridorEngine:
             return None
         with self._lock:
             return self.store.save_from(self)
-
-    def cache_baseline(self) -> EngineCacheBaseline:
-        """A point-in-time marker for :meth:`collect_cache_delta`."""
-        return EngineCacheBaseline(
-            snapshot_keys=self._snapshots.keys(),
-            route_keys=self._routes.keys(),
-            geodesic_keys=self._geodesic_memo.keys(),
-            stats=self.stats,
-        )
-
-    def collect_cache_delta(
-        self, baseline: EngineCacheBaseline
-    ) -> EngineCacheDelta:
-        """Entries learned and counter activity since ``baseline``."""
-        now = self.stats
-        return EngineCacheDelta(
-            params_key=self.params_key,
-            snapshots=tuple(
-                (key, value)
-                for key, value in self._snapshots.items()
-                if key not in baseline.snapshot_keys
-            ),
-            routes=tuple(
-                (key, value)
-                for key, value in self._routes.items()
-                if key not in baseline.route_keys
-            ),
-            geodesic=tuple(
-                (key, value)
-                for key, value in self._geodesic_memo.entries()
-                if key not in baseline.geodesic_keys
-            ),
-            stats=CacheStats(
-                snapshot=_counter_delta(now.snapshot, baseline.stats.snapshot),
-                route=_counter_delta(now.route, baseline.stats.route),
-                geodesic=_counter_delta(now.geodesic, baseline.stats.geodesic),
-                snapshot_incremental=(
-                    now.snapshot_incremental
-                    - baseline.stats.snapshot_incremental
-                ),
-                snapshot_full=now.snapshot_full - baseline.stats.snapshot_full,
-                index_events=now.index_events,
-            ),
-            cursors=self._export_cursors(),
-        )
-
-    def absorb_cache_delta(self, delta: EngineCacheDelta) -> None:
-        """Merge a worker's delta back: entries installed, counters added.
-
-        After absorbing every worker's delta, the parent engine holds the
-        same cache contents a serial run would have produced, and its
-        counters account for the work the workers did on its behalf.
-        """
-        if delta.params_key != self.params_key:
-            raise ValueError(
-                "cache delta was collected under different reconstruction "
-                "parameters than this engine's"
-            )
-        for key, solution in delta.geodesic:
-            self._geodesic_memo.store(key, solution)
-        for key, network in delta.snapshots:
-            self._snapshots.put(key, network)
-        for key, route in delta.routes:
-            self._routes.put(key, route)
-        memo = self._geodesic_memo
-        memo.hits += delta.stats.geodesic.hits
-        memo.misses += delta.stats.geodesic.misses
-        memo.evictions += delta.stats.geodesic.evictions
-        for cache, counter in (
-            (self._snapshots, delta.stats.snapshot),
-            (self._routes, delta.stats.route),
-        ):
-            cache.hits += counter.hits
-            cache.misses += counter.misses
-            cache.evictions += counter.evictions
-        self._incremental_resolutions += delta.stats.snapshot_incremental
-        self._full_resolutions += delta.stats.snapshot_full
-        self._install_cursors(delta.cursors)
 
     def with_params(self, **overrides) -> "CorridorEngine":
         """A fresh engine sharing this database with parameter overrides.

@@ -363,10 +363,10 @@ class HftNetwork:
 
     def __getstate__(self):
         # The latency graph is a cached_property rebuilt deterministically
-        # from towers/links; persisting it (store entries, parallel seed
-        # exports) would pickle a networkx adjacency per snapshot — the
-        # bulk of the payload — that warm consumers mostly never touch
-        # (routes ship separately in the engine's route cache).
+        # from towers/links; persisting it in store entries would pickle
+        # a networkx adjacency per snapshot — the bulk of the payload —
+        # that warm consumers mostly never touch (routes ship separately
+        # in the engine's route cache).
         state = dict(self.__dict__)
         state.pop("graph", None)
         return state

@@ -90,10 +90,10 @@ DEFAULT_OBS_ALLOWED = (
     "src/repro/serve/loadgen.py",
 )
 
-#: Path prefixes allowed to construct pools/processes directly; everything
-#: else must fan out through ``repro.parallel``.
+#: Path prefixes allowed to construct pools/processes directly: only the
+#: load generator's client fleet; everything else runs serially.
 DEFAULT_PARALLEL_ALLOWED = (
-    "src/repro/parallel/",
+    "src/repro/serve/loadgen.py",
 )
 
 #: Source roots the whole-program flow analysis parses.  Modules are named
@@ -105,25 +105,18 @@ DEFAULT_FLOW_ROOTS = ("src/repro",)
 DEFAULT_FLOW_CACHE = ".lint-cache.json"
 
 #: fnmatch patterns (over function fqns) naming the entry points whose
-#: reachable set must not mutate module-level state: the parallel worker
-#: entries (each runs in a forked/spawned child whose module globals are
-#: invisible to the parent and to sibling workers) and the CLI subcommand
+#: reachable set must not mutate module-level state: the CLI subcommand
 #: mains (each must be runnable in any order, in one process).
 DEFAULT_SHARED_STATE_ROOTS = (
-    "repro.parallel.executor._worker_init",
-    "repro.parallel.executor._run_chunk_in_worker",
-    "repro.parallel.grid._grid_task",
-    "repro.parallel.grid._build_worker_state",
-    "repro.parallel.grid._install_seeds",
     "repro.cli.main",
     "repro.cli._cmd_*",
 )
 
-#: Module globals whose mutation is deliberate and worker-safe:
-#: the obs session accumulator (reset per process, reduced explicitly),
-#: the engine's process-wide mode toggles (written only by CLI flag
-#: handling before any work runs), the geodesy memo scope handle and the
-#: per-worker context slot (written once in the worker initializer).
+#: Module globals whose mutation is deliberate: the obs session
+#: accumulator (reset per process), the engine's process-wide mode
+#: toggles (written only by CLI flag handling before any work runs), the
+#: geodesy memo scope handle, the import-time registries and the serve
+#: session handle.
 DEFAULT_SHARED_STATE_ALLOWED = (
     "repro.core.engine.INCREMENTAL_DEFAULT",
     "repro.core.engine.KERNEL_DEFAULT",
@@ -131,16 +124,15 @@ DEFAULT_SHARED_STATE_ALLOWED = (
     "repro.geodesy.memo._active_memo",
     "repro.lint.registry._REGISTRY",
     "repro.obs.spans._STATE",
-    "repro.parallel.executor._WORKER_CONTEXT",
     "repro.scenarios.registry._REGISTRY",
     "repro.serve.server._ACTIVE_SERVER",
 )
 
 #: The import layering, lowest tier first.  A module may import same-tier
 #: or lower-tier modules; importing upward is a finding.  Modules matching
-#: no entry (``repro.parallel``, ``repro.lint``, the ``repro`` package
-#: itself) are untiered: they may be imported from anywhere and the rule
-#: stays silent about their own imports.
+#: no entry (``repro.lint``, the ``repro`` package itself) are untiered:
+#: they may be imported from anywhere and the rule stays silent about
+#: their own imports.
 DEFAULT_LAYERS = (
     ("repro.constants", "repro.obs"),
     ("repro.geodesy",),

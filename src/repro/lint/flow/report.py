@@ -7,7 +7,7 @@ Three views over one :class:`~repro.lint.flow.program.ProgramAnalysis`:
   and ``PYTHONHASHSEED`` values — the graph is already fully sorted, and
   rendering adds ``sort_keys`` on top;
 * a ``--why MODULE.FN`` explanation: where the function is, what it does
-  directly, what reaches it from the worker/CLI entry points, and how its
+  directly, what reaches it from the CLI entry points, and how its
   transitive effects flow in.
 """
 
@@ -178,5 +178,5 @@ def render_why(analysis: ProgramAnalysis, name: str) -> str:
         lines.append("  reachable from entry point:")
         lines.append("    " + " -> ".join(chain))
     else:
-        lines.append("  not reachable from any worker/CLI entry point")
+        lines.append("  not reachable from any CLI entry point")
     return "\n".join(lines)

@@ -1,13 +1,14 @@
-"""Parallelism discipline: fan-out goes through ``repro.parallel``.
+"""Parallelism discipline: the analysis path runs in one process.
 
-The parallel package is the one place in the codebase where worker pools
-are constructed — it is what guarantees spawn safety (no forked
-interpreter state), ordered reduction, and cache/metrics merge-back.  A
-module that builds its own ``ProcessPoolExecutor`` or calls
-``multiprocessing.Pool`` bypasses all three: results may arrive in
-completion order, worker caches are silently discarded, and the fork
-start method can capture half-initialised parent state.  This rule
-confines pool and process construction to ``src/repro/parallel/``.
+Every analysis driver runs serially against one warm engine, and that is
+what keeps its caches, counters and output deterministic.  A module that
+builds its own ``ProcessPoolExecutor`` or calls ``multiprocessing.Pool``
+breaks that: results may arrive in completion order, worker caches are
+silently discarded, and the fork start method can capture
+half-initialised parent state.  The one pool left is the load
+generator's client fleet (``src/repro/serve/loadgen.py``), which only
+issues HTTP requests; this rule confines pool and process construction
+to it.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ _DOTTED_SUFFIXES = (
 
 @register
 class ParallelDisciplineRule(Rule):
-    """Pool/process construction is confined to src/repro/parallel/."""
+    """Pool/process construction is confined to the allowed paths."""
 
     name = "parallel-discipline"
     description = (
-        "direct pool/process construction outside repro.parallel; fan "
-        "out through repro.parallel (pmap/ParallelMap/GridSession) so "
-        "results stay ordered and worker caches merge back"
+        "direct pool/process construction outside the load generator; "
+        "analysis runs serially so results stay ordered and caches warm"
     )
     interests = (ast.Call,)
 
@@ -71,7 +71,7 @@ class ParallelDisciplineRule(Rule):
         ctx.report(
             self,
             node,
-            f"direct pool/process construction {dotted}(): fan out "
-            "through repro.parallel instead (pools are allowed only "
-            "under src/repro/parallel/)",
+            f"direct pool/process construction {dotted}(): analysis "
+            "runs serially (pools are allowed only in "
+            "src/repro/serve/loadgen.py)",
         )

@@ -16,7 +16,6 @@ from repro.core.engine import CorridorEngine
 from repro.core.network import HftNetwork, Route
 from repro.core.reconstruction import NetworkReconstructor
 from repro.metrics.apa import apa_percent
-from repro.parallel.grid import GridSession, grid_session
 from repro.uls.database import UlsDatabase
 
 
@@ -34,21 +33,6 @@ class NetworkRanking:
         return (self.licensee, self.latency_ms, self.apa_percent, self.tower_count)
 
 
-def _rank_task(ctx, item):
-    name, on_date, source, target, slack = item
-    route = ctx.engine.route(name, on_date, source, target)
-    if route is None:
-        return None
-    network = ctx.engine.snapshot(name, on_date)
-    return NetworkRanking(
-        licensee=name,
-        latency_ms=route.latency_ms,
-        apa_percent=apa_percent(network, source, target, slack),
-        tower_count=route.tower_count,
-        route=route,
-    )
-
-
 def rank_connected_networks(
     database: UlsDatabase,
     corridor: CorridorSpec,
@@ -59,8 +43,6 @@ def rank_connected_networks(
     slack: float = APA_SLACK_FACTOR,
     reconstructor: NetworkReconstructor | None = None,
     engine: CorridorEngine | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[NetworkRanking]:
     """All networks connected source↔target, by increasing latency.
 
@@ -69,10 +51,8 @@ def rank_connected_networks(
     database is considered.  Pass ``engine`` to share snapshot/route
     caches across rankings (e.g. over a date grid); ``reconstructor``
     carries non-default reconstruction parameters and gets a private
-    engine.  With ``jobs > 1`` (or a ``session``) the per-licensee work
-    fans out; disconnected licensees drop out and the latency sort runs
-    parent-side, so the ranking is jobs-invariant.  ``source`` /
-    ``target`` default to the corridor's primary path.
+    engine.  ``source`` / ``target`` default to the corridor's primary
+    path.
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
@@ -80,30 +60,21 @@ def rank_connected_networks(
     elif reconstructor is not None:
         raise ValueError("pass either engine or reconstructor, not both")
     names = licensees if licensees is not None else database.licensee_names()
-    if jobs == 1 and session is None:
-        rankings: list[NetworkRanking] = []
-        for name in names:
-            route = engine.route(name, on_date, source, target)
-            if route is None:
-                continue
-            network = engine.snapshot(name, on_date)
-            rankings.append(
-                NetworkRanking(
-                    licensee=name,
-                    latency_ms=route.latency_ms,
-                    apa_percent=apa_percent(network, source, target, slack),
-                    tower_count=route.tower_count,
-                    route=route,
-                )
+    rankings: list[NetworkRanking] = []
+    for name in names:
+        route = engine.route(name, on_date, source, target)
+        if route is None:
+            continue
+        network = engine.snapshot(name, on_date)
+        rankings.append(
+            NetworkRanking(
+                licensee=name,
+                latency_ms=route.latency_ms,
+                apa_percent=apa_percent(network, source, target, slack),
+                tower_count=route.tower_count,
+                route=route,
             )
-    else:
-        items = [(name, on_date, source, target, slack) for name in names]
-        with grid_session(engine, jobs, session) as live:
-            rankings = [
-                ranking
-                for ranking in live.map(_rank_task, items, label="rankings")
-                if ranking is not None
-            ]
+        )
     rankings.sort(key=lambda ranking: ranking.latency_ms)
     return rankings
 
@@ -126,33 +97,16 @@ def top_networks_per_path(
     licensees: list[str] | None = None,
     reconstructor: NetworkReconstructor | None = None,
     engine: CorridorEngine | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[PathTopRanking]:
     """Table 2: the ``top_n`` fastest networks for every corridor path.
 
     One engine serves all paths, so each licensee's network is stitched
-    once and only re-routed per (source, target) pair.  ``jobs`` /
-    ``session`` fan the per-licensee ranking work out within each path.
+    once and only re-routed per (source, target) pair.
     """
     if engine is None:
         engine = CorridorEngine(database, corridor, reconstructor=reconstructor)
     elif reconstructor is not None:
         raise ValueError("pass either engine or reconstructor, not both")
-    if jobs == 1 and session is None:
-        return _top_networks_loop(
-            database, corridor, on_date, top_n, licensees, engine, 1, None
-        )
-    # One session (and one worker pool) serves every path's fan-out.
-    with grid_session(engine, jobs, session) as live:
-        return _top_networks_loop(
-            database, corridor, on_date, top_n, licensees, engine, jobs, live
-        )
-
-
-def _top_networks_loop(
-    database, corridor, on_date, top_n, licensees, engine, jobs, session
-):
     results = []
     for source, target in corridor.paths:
         rankings = rank_connected_networks(
@@ -163,8 +117,6 @@ def _top_networks_loop(
             target=target,
             licensees=licensees,
             engine=engine,
-            jobs=jobs,
-            session=session,
         )
         results.append(
             PathTopRanking(

@@ -7,8 +7,7 @@ network names, seeds, latency targets, era dates — is a pure function of
 the parameters, so the same reference always yields byte-identical
 databases, engines and analysis output (the registry relies on this for
 its resolution cache, and the round-trip property tests rely on it for
-serial-vs-parallel-vs-store equivalence at 10–50x the calibrated
-scenario's size).
+serial-vs-store equivalence at 10–50x the calibrated scenario's size).
 
 Latency targets are synthesised just above each corridor's c-bound
 (0.5%–2.5% stretch, the regime of the paper's Table 1) so the

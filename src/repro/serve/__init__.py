@@ -10,8 +10,8 @@ tier.  Layers, bottom up:
   to the shared engine;
 * :mod:`repro.serve.service`  — validation, routing, structured errors;
 * :mod:`repro.serve.server`   — the threaded stdlib HTTP adapter;
-* :mod:`repro.serve.loadgen`  — the ``repro.parallel``-powered load
-  harness behind ``hftnetview loadgen`` and ``BENCH_PR8.json``.
+* :mod:`repro.serve.loadgen`  — the thread-pool load harness behind
+  ``hftnetview loadgen`` and ``BENCH_PR8.json``.
 
 See DESIGN.md §13 for the facade/coalescing protocol.
 """

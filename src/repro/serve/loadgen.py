@@ -1,8 +1,8 @@
 """Load generation against a running corridor query server.
 
-The client fleet is ``repro.parallel`` (the same executor every
-``--jobs`` driver uses): the seeded request mix is built up front, the
-fleet replays it, and the report reduces per-request samples into
+The client fleet is a thread pool of ``profile.clients`` workers: the
+seeded request mix is built up front, the fleet replays it, and the
+report reduces per-request samples (in request-sequence order) into
 sustained throughput and tail latency.  Determinism discipline: the
 request *sequence* is seeded (``random.Random(profile.seed)``), so two
 runs of the same profile issue identical requests in identical order —
@@ -19,9 +19,8 @@ import random
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-from repro.parallel import pmap
 
 #: The default request mix: every served endpoint, with a couple of
 #: parameterised variants so warm runs exercise more than one cache key.
@@ -92,7 +91,7 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def _fetch(item: tuple[str, str]) -> RequestSample:
-    """One client request (module-level so process backends can pickle)."""
+    """One client request."""
     base_url, path = item
     start = time.perf_counter()
     try:
@@ -106,17 +105,25 @@ def _fetch(item: tuple[str, str]) -> RequestSample:
     return RequestSample(path=path, status=status, elapsed_ms=elapsed_ms)
 
 
+def replay(base_url: str, paths: list[str], clients: int) -> list[RequestSample]:
+    """Issue ``paths`` against ``base_url`` from ``clients`` threads.
+
+    Samples come back in request order, whatever order they finish in.
+    """
+    base = base_url.rstrip("/")
+    with ThreadPoolExecutor(max_workers=clients) as fleet:
+        return list(fleet.map(_fetch, [(base, path) for path in paths]))
+
+
 def run_load(
     base_url: str,
     profile: LoadProfile | None = None,
-    backend: str = "auto",
 ) -> LoadReport:
-    """Replay ``profile`` against ``base_url`` with a parallel fleet."""
+    """Replay ``profile`` against ``base_url`` with a thread fleet."""
     profile = profile if profile is not None else LoadProfile()
-    base = base_url.rstrip("/")
-    items = [(base, path) for path in request_sequence(profile)]
+    paths = request_sequence(profile)
     start = time.perf_counter()
-    samples = pmap(_fetch, items, jobs=profile.clients, backend=backend)
+    samples = replay(base_url, paths, profile.clients)
     wall_s = time.perf_counter() - start
     latencies = [s.elapsed_ms for s in samples]
     errors = sum(1 for s in samples if s.status != 200)

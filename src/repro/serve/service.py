@@ -373,10 +373,13 @@ class CorridorQueryService:
     def _resolve_state(self, text: str | None) -> _ScenarioState:
         """The loaded state for a ``scenario`` query param (lazy table).
 
-        ``None``/empty routes to the default.  A reference that resolves
-        to an already-hosted scenario reuses that scenario's facade and
-        body cache — coalescing and generation scoping stay per-engine
-        no matter how many spellings of the reference arrive.
+        ``None``/empty routes to the default.  A hosted canonical
+        reference is served from the table without resolving it again,
+        so a scenario the registry's builder cache has dropped is never
+        rebuilt just to be discarded.  On a miss, a reference that
+        resolves to an already-hosted scenario reuses that scenario's
+        facade and body cache — coalescing and generation scoping stay
+        per-engine no matter how many spellings of the reference arrive.
         """
         if not text:
             return self._default_state
@@ -389,6 +392,10 @@ class CorridorQueryService:
 
         try:
             canonical = parse_scenario_ref(text).canonical
+            with self._states_lock:
+                state = self._states.get(canonical)
+            if state is not None:
+                return state
             scenario = resolve_scenario(canonical)
         except UnknownScenarioError as error:
             raise ServiceError(404, "unknown-scenario", str(error)) from None

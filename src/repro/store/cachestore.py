@@ -4,8 +4,8 @@
 .EngineCacheExport` payloads (snapshot cache, route cache, geodesic
 memo, temporal-index cursors) under content-addressed fingerprints
 (:func:`~repro.store.fingerprint.store_fingerprint`), so a cold process
-— a CLI driver, a restarted server, a parallel worker — starts from the
-previous run's warm state instead of rebuilding it.
+— a CLI driver or a restarted server — starts from the previous run's
+warm state instead of rebuilding it.
 
 Failure discipline: the store **never makes an answer wrong and never
 crashes a driver**.  Unreadable or unpicklable entries are quarantined
@@ -41,24 +41,6 @@ class StoreEntry:
     path: Path
     size_bytes: int
     mtime_s: float
-
-
-@dataclass(frozen=True)
-class StoreSeedRef:
-    """A tiny picklable pointer to a published entry.
-
-    :class:`~repro.parallel.grid.GridSession` ships one of these to each
-    worker instead of the full (potentially multi-megabyte) cache
-    export; the worker resolves it against the on-disk store in its own
-    process.  A missing or corrupt entry resolves to ``None`` — the
-    worker just starts cold, byte-identical either way.
-    """
-
-    cache_dir: str
-    fingerprint: str
-
-    def load(self) -> EngineCacheExport | None:
-        return CacheStore(self.cache_dir).load_export(self.fingerprint)
 
 
 class CacheStore:

@@ -218,11 +218,11 @@ class UlsDatabase:
         return digest
 
     def __getstate__(self) -> dict:
-        """Pickle without the derived caches (workers rebuild lazily).
+        """Pickle without the derived caches (rebuilt lazily on use).
 
-        The columnar store is deliberately excluded: workers rebuild it
-        from the shipped license records under their own generation
-        counter rather than trusting pickled float columns.
+        The columnar store is deliberately excluded: an unpickled
+        database rebuilds it from the license records under its own
+        generation counter rather than trusting pickled float columns.
         """
         state = self.__dict__.copy()
         state["_temporal_indices"] = {}

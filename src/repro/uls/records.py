@@ -19,6 +19,7 @@ and frequencies for the §5 reliability analysis.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -39,8 +40,11 @@ class TowerLocation:
     def __post_init__(self) -> None:
         if self.location_number < 1:
             raise ValueError("ULS location numbers start at 1")
-        if self.structure_height_m < 0.0:
-            raise ValueError("structure height cannot be negative")
+        if not math.isfinite(self.ground_elevation_m):
+            raise ValueError("ground elevation must be finite")
+        height = self.structure_height_m
+        if not (math.isfinite(height) and height >= 0.0):
+            raise ValueError("structure height must be finite and non-negative")
 
     @property
     def antenna_height_amsl_m(self) -> float:
@@ -66,8 +70,10 @@ class MicrowavePath:
             raise ValueError("ULS path numbers start at 1")
         if self.tx_location_number == self.rx_location_number:
             raise ValueError("a path cannot loop back to its own location")
-        if any(freq <= 0.0 for freq in self.frequencies_mhz):
-            raise ValueError("frequencies must be positive")
+        if not all(
+            math.isfinite(freq) and freq > 0.0 for freq in self.frequencies_mhz
+        ):
+            raise ValueError("frequencies must be finite and positive")
 
 
 @dataclass(slots=True)

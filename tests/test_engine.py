@@ -376,3 +376,37 @@ def test_geodesic_memo_eviction_bound():
             geodesic_inverse(origin, GeoPoint(40.0 + i * 0.01, -74.0))
     assert len(memo) == 4
     assert memo.evictions == 6
+
+
+def test_export_seed_roundtrip_serves_hits(scenario):
+    warm = CorridorEngine(scenario.database, scenario.corridor)
+    warm.snapshot("Webline Holdings", dt.date(2019, 1, 1))
+    cold = CorridorEngine(scenario.database, scenario.corridor)
+    cold.seed_cache_state(warm.export_cache_state())
+    # Seeding is an install, not a lookup: no counters moved.
+    assert cold.stats.snapshot.lookups == 0
+    assert cold.stats.geodesic.lookups == 0
+    # The seeded snapshot is served from cache.
+    network = cold.snapshot("Webline Holdings", dt.date(2019, 1, 1))
+    assert cold.stats.snapshot.hits == 1
+    assert cold.stats.snapshot.misses == 0
+    assert network is warm.snapshot("Webline Holdings", dt.date(2019, 1, 1))
+
+
+def test_seed_rejects_mismatched_params(scenario):
+    warm = CorridorEngine(scenario.database, scenario.corridor)
+    warm.snapshot("Webline Holdings", dt.date(2019, 1, 1))
+    sibling = warm.with_params(stitch_tolerance_m=120.0)
+    with pytest.raises(ValueError):
+        sibling.seed_cache_state(warm.export_cache_state())
+
+
+def test_geodesic_only_seed_crosses_parameterisations(scenario):
+    warm = CorridorEngine(scenario.database, scenario.corridor)
+    warm.snapshot("Webline Holdings", dt.date(2019, 1, 1))
+    sibling = warm.with_params(stitch_tolerance_m=120.0)
+    sibling.seed_cache_state(
+        warm.export_cache_state(geodesic_only=True), geodesic_only=True
+    )
+    assert sibling._geodesic_memo.entries() == warm._geodesic_memo.entries()
+    assert len(sibling._snapshots) == 0

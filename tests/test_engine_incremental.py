@@ -9,8 +9,7 @@ The tentpole claims of this layer:
   are served incrementally;
 * empty deltas reuse the cached network object outright;
 * the CLI's ``--no-incremental`` escape hatch is byte-identical,
-  enforced here through real subprocesses at more than one ``--jobs``
-  width.
+  enforced here through real subprocesses.
 """
 
 from __future__ import annotations
@@ -191,24 +190,6 @@ class TestCursorTransplant:
         export = engine.export_cache_state(geodesic_only=True)
         assert export.cursors == ()
 
-    def test_delta_absorption_adopts_cursors_and_counters(self, scenario):
-        engine, _ = _engines(scenario)
-        baseline = engine.cache_baseline()
-        engine.timeline("Webline Holdings", MONTHLY[:8])
-        delta = engine.collect_cache_delta(baseline)
-        assert delta.stats.snapshot_incremental == 7
-        assert delta.stats.snapshot_full == 1
-        assert delta.cursors
-
-        parent = CorridorEngine(
-            scenario.database, scenario.corridor, incremental=True
-        )
-        parent.absorb_cache_delta(delta)
-        assert parent.stats.snapshot_incremental == 7
-        assert parent.stats.snapshot_full == 1
-        parent.snapshot("Webline Holdings", MONTHLY[8])
-        assert parent.stats.snapshot_full == 1  # cursor reused, no full
-
 
 class TestWithParams:
     def test_with_params_preserves_mode(self, scenario):
@@ -222,7 +203,7 @@ class TestWithParams:
 
 
 class TestCliByteIdentity:
-    """--no-incremental must be invisible in stdout at any --jobs width."""
+    """--no-incremental must be invisible in stdout."""
 
     @staticmethod
     def _run(*extra: str) -> bytes:
@@ -237,7 +218,6 @@ class TestCliByteIdentity:
         )
         return result.stdout
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_timeline_byte_identical(self, jobs):
-        base = ("--step", "monthly", "--jobs", jobs)
+    def test_timeline_byte_identical(self):
+        base = ("--step", "monthly")
         assert self._run(*base) == self._run(*base, "--no-incremental")

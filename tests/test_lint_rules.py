@@ -719,7 +719,7 @@ class TestParallelDiscipline:
             tmp_path, source, rules=("parallel-discipline",)
         )
         assert rule_names(findings) == ["parallel-discipline"]
-        assert "repro.parallel" in findings[0].message
+        assert "src/repro/serve/loadgen.py" in findings[0].message
 
     def test_dotted_pool_constructors_flagged(self, tmp_path):
         source = """
@@ -753,13 +753,13 @@ class TestParallelDiscipline:
             tmp_path, source, rules=("parallel-discipline",)
         ) == []
 
-    def test_parallel_package_is_exempt(self, tmp_path):
+    def test_loadgen_is_exempt(self, tmp_path):
         source = """
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=4)
+            from concurrent.futures import ThreadPoolExecutor
+            fleet = ThreadPoolExecutor(max_workers=4)
         """
         assert findings_for(
-            tmp_path, source, name="src/repro/parallel/executor.py",
+            tmp_path, source, name="src/repro/serve/loadgen.py",
             rules=("parallel-discipline",),
         ) == []
 
@@ -774,10 +774,10 @@ class TestParallelDiscipline:
             rule_options={"parallel-discipline": {"allowed": ["tools/"]}},
         ) == []
 
-    def test_pmap_usage_ok(self, tmp_path):
+    def test_methods_of_an_existing_pool_ok(self, tmp_path):
         source = """
-            from repro.parallel import pmap
-            results = pmap(work, items, jobs=4)
+            results = list(fleet.map(work, items))
+            fleet.shutdown()
         """
         assert findings_for(
             tmp_path, source, rules=("parallel-discipline",)

@@ -3,8 +3,9 @@ round-trip contract.
 
 The load-bearing property: *every* registered scenario (and randomized
 ``synthetic(...)`` instances) must round-trip through funnel → rankings →
-timeline with byte-identical output whether computed serially, fanned out
-over a grid session, or store-warmed from a prior run's checkpoint.  The
+timeline with byte-identical output whether computed on the scenario's
+own engine, on a cold store-attached engine, or store-warmed from that
+engine's checkpoint.  The
 paper scenario additionally pins its golden Table 1 numbers so the
 registry refactor can never drift the default output.
 """
@@ -18,12 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.figures import fig1_latency_evolution
 from repro.analysis.funnel import run_scraping_funnel
 from repro.core.engine import CorridorEngine
 from repro.core.timeline import yearly_snapshot_dates
 from repro.metrics.rankings import rank_connected_networks
-from repro.parallel import GridSession
 from repro.scenarios import (
     ScenarioEntry,
     ScenarioParamError,
@@ -271,7 +270,7 @@ class TestEuropeTokyoGoldenPins:
         assert "unknown scenario" in capsys.readouterr().err
 
 
-def _roundtrip_bytes(scenario, jobs: int = 1, engine=None) -> tuple:
+def _roundtrip_bytes(scenario, engine=None) -> tuple:
     """(funnel counts, canonical rankings bytes, timeline latencies)."""
     engine = engine if engine is not None else scenario.engine()
     funnel = run_scraping_funnel(
@@ -279,62 +278,22 @@ def _roundtrip_bytes(scenario, jobs: int = 1, engine=None) -> tuple:
         scenario.corridor,
         scenario.snapshot_date,
         engine=engine,
-        jobs=jobs,
     )
     rankings = render_payload(
         rankings_payload(scenario, engine, scenario.snapshot_date)
     )
     dates = yearly_snapshot_dates()
-    if jobs == 1:
-        series = fig1_latency_evolution(scenario, dates=dates)
-    else:
-        with GridSession(
-            engine, jobs, backend="inline", scenario=scenario.name
-        ) as session:
-            series = fig1_latency_evolution(
-                scenario, dates=dates, session=session
-            )
     timeline = {
-        name: tuple(point.latency_ms for point in points)
-        for name, points in series.items()
+        name: tuple(point.latency_ms for point in engine.timeline(name, dates))
+        for name in scenario.featured_names
     }
     return funnel.counts, rankings, timeline
 
 
-@pytest.mark.parametrize("name", ["europe2020", "tokyo-singapore"])
-def test_registered_scenarios_roundtrip_serial_vs_grid(name):
-    scenario = resolve_scenario(name)
-    assert _roundtrip_bytes(scenario) == _roundtrip_bytes(scenario, jobs=4)
-
-
-def test_paper_roundtrip_serial_vs_grid(scenario):
-    assert _roundtrip_bytes(scenario) == _roundtrip_bytes(scenario, jobs=4)
-
-
-@settings(
-    max_examples=4,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(
-    seed=st.integers(min_value=0, max_value=49),
-    networks=st.integers(min_value=1, max_value=3),
-    links=st.integers(min_value=12, max_value=18),
-    decoys=st.integers(min_value=0, max_value=6),
-)
-def test_synthetic_roundtrip_serial_grid_and_store(
-    seed, networks, links, decoys
-):
-    """Randomized synthetic scenarios hold the full determinism contract:
-    serial == fanned-out == store-warmed, byte for byte."""
-    ref = (
-        f"synthetic:seed={seed},networks={networks}"
-        f",links={links},decoys={decoys}"
-    )
-    scenario = resolve_scenario(ref)
+def _assert_store_roundtrip(scenario) -> None:
+    """The scenario's own engine == a cold store-attached engine == an
+    engine warmed from that engine's checkpoint, byte for byte."""
     serial = _roundtrip_bytes(scenario)
-    assert serial == _roundtrip_bytes(scenario, jobs=4)
-
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp)
         cold = CorridorEngine(
@@ -353,3 +312,34 @@ def test_synthetic_roundtrip_serial_grid_and_store(
         # The warm engine really loaded the checkpoint: the snapshots the
         # cold run computed are cache hits, not recomputations.
         assert warmed.stats.snapshot.misses == 0
+
+
+@pytest.mark.parametrize("name", ["europe2020", "tokyo-singapore"])
+def test_registered_scenarios_roundtrip_serial_vs_store(name):
+    _assert_store_roundtrip(resolve_scenario(name))
+
+
+def test_paper_roundtrip_serial_vs_store(scenario):
+    _assert_store_roundtrip(scenario)
+
+
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=49),
+    networks=st.integers(min_value=1, max_value=3),
+    links=st.integers(min_value=12, max_value=18),
+    decoys=st.integers(min_value=0, max_value=6),
+)
+def test_synthetic_roundtrip_serial_and_store(seed, networks, links, decoys):
+    """Randomized synthetic scenarios hold the full determinism contract:
+    serial == cold-store == store-warmed, byte for byte."""
+    _assert_store_roundtrip(
+        resolve_scenario(
+            f"synthetic:seed={seed},networks={networks}"
+            f",links={links},decoys={decoys}"
+        )
+    )

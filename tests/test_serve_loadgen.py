@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.serve import loadgen
 from repro.serve.loadgen import (
     DEFAULT_PATHS,
     LoadProfile,
+    RequestSample,
     percentile,
+    replay,
     request_sequence,
     run_load,
 )
@@ -68,3 +73,26 @@ class TestRunLoad:
         )
         report = run_load(serve_server.url, profile)
         assert report.errors == expected_errors > 0
+
+    def test_samples_in_request_order_with_four_clients(self, serve_server):
+        profile = LoadProfile(
+            requests=24, clients=4, paths=("/healthz", "/nope", "/rankings"), seed=11
+        )
+        sequence = request_sequence(profile)
+        samples = replay(serve_server.url, sequence, profile.clients)
+        assert [s.path for s in samples] == sequence
+        assert [s.status for s in samples] == [
+            404 if path == "/nope" else 200 for path in sequence
+        ]
+
+    def test_order_survives_out_of_order_completion(self, monkeypatch):
+        paths = [f"/p{i}" for i in range(12)]
+
+        def earliest_finishes_last(item):
+            _, path = item
+            time.sleep(0.002 * (len(paths) - int(path[2:])))
+            return RequestSample(path=path, status=200, elapsed_ms=0.0)
+
+        monkeypatch.setattr(loadgen, "_fetch", earliest_finishes_last)
+        samples = replay("http://localhost:1", paths, clients=4)
+        assert [s.path for s in samples] == paths

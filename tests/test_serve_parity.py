@@ -64,11 +64,3 @@ def test_map_matches_export_geojson(serve_server, tmp_path):
     served = json.loads(http_body(serve_server, "/map"))
     assert served["type"] == exported["type"] == "FeatureCollection"
     assert served["features"] == exported["features"]
-
-
-def test_timeline_json_is_jobs_invariant(serve_server):
-    # The CLI's --jobs fan-out must not change the canonical payload the
-    # server is held to.
-    serial = run_cli("timeline", "--format", "json")
-    threaded = http_body(serve_server, "/timeline")
-    assert serial == threaded

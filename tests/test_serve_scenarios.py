@@ -50,6 +50,22 @@ class TestScenarioParam:
         b = service._resolve_state("synthetic:links=12,networks=1,seed=4")
         assert a is b
 
+    def test_hosted_ref_not_rebuilt_after_builder_eviction(self, service):
+        from repro.scenarios.synthetic import synthetic_scenario
+
+        ref = "synthetic:seed=5,networks=3"
+        status, first = service.handle_url(f"/rankings?scenario={ref}")
+        assert status == 200
+        hosted = service._resolve_state(ref)
+        # The builder's lru_cache forgets the scenario; the service still
+        # hosts it and must answer from the table without rebuilding.
+        synthetic_scenario.cache_clear()
+        status, again = service.handle_url(f"/rankings?scenario={ref}")
+        assert status == 200
+        assert again == first
+        assert synthetic_scenario.cache_info().misses == 0
+        assert service._resolve_state(ref) is hosted
+
     def test_default_name_routes_to_default_state(self, service, scenario):
         state = service._resolve_state(scenario.name)
         assert state is service._default_state

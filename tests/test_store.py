@@ -12,8 +12,8 @@ The store's load-bearing properties, in rough order of importance:
    never produce a torn read.
 
 Plus the integration seams: engine attach/checkpoint, the CLI's
-``--cache-dir`` / ``cache {stat,gc,clear}``, serve's store-warmed boot
-and rendered-body cache, and parallel's store-seeded workers.
+``--cache-dir`` / ``cache {stat,gc,clear}``, and serve's store-warmed
+boot and rendered-body cache.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import engine as engine_mod
 from repro.core.engine import CorridorEngine, EngineCacheExport
-from repro.parallel.grid import GridSession, _resolve_seed
 from repro.serve.service import CorridorQueryService
 from repro.store import (
     STORE_SCHEMA_VERSION,
     CacheStore,
-    StoreSeedRef,
     store_fingerprint,
 )
 from repro.store import layout
@@ -573,45 +571,3 @@ class TestBodyCache:
         status, _ = service.handle_http("/healthz")
         assert status == 200
         assert service._body_key("/rankings") is None
-
-
-# ----------------------------------------------------------------------
-# Parallel: workers seed from the store
-# ----------------------------------------------------------------------
-
-
-def _store_latency_task(ctx, item):
-    name, date = item
-    route = ctx.engine.route(name, date, "CME", "NY4")
-    return None if route is None else route.latency_s
-
-
-class TestParallelSeeding:
-    def test_resolve_seed_passthrough_and_ref(self, scenario, populated_store):
-        export = _engine(scenario).export_cache_state()
-        assert _resolve_seed(None) is None
-        assert _resolve_seed(export) is export
-        fingerprint = populated_store.fingerprint_for(_engine(scenario))
-        ref = StoreSeedRef(str(populated_store.cache_dir), fingerprint)
-        resolved = ref.load()
-        assert isinstance(resolved, EngineCacheExport)
-        missing = StoreSeedRef(str(populated_store.cache_dir), "0" * 64)
-        assert _resolve_seed(missing) is None
-
-    def test_process_workers_seed_from_store(
-        self, scenario, populated_store, tmp_path
-    ):
-        items = [
-            (name, scenario.snapshot_date)
-            for name in scenario.connected_names[:4]
-        ]
-        serial = _engine(scenario)
-        with GridSession(serial, 1) as session:
-            expected = session.map(_store_latency_task, items)
-
-        parent = _engine(scenario, store=populated_store)
-        with GridSession(parent, 2, backend="process") as session:
-            got = session.map(_store_latency_task, items)
-        assert got == expected
-        # The parent checkpointed before fan-out (seed publication).
-        assert populated_store.counters()["saves"] >= 1

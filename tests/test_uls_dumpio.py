@@ -170,6 +170,9 @@ class TestMalformedRecords:
             (0, "|2015-03-01|", "|2015-13-01|", "line 1: month"),
             (4, "PA|L0001|1|1|2", "PA|L0001|1|1|9", "line 1: .*undefined rx location 9"),
             (4, "PA|L0001|1|1|2", "PA|L0001|1|1|1", "line 1: .*loop back"),
+            (2, "|90.0|", "|nan|", "line 3: structure height must be finite"),
+            (2, "|200.0|", "|nan|", "line 3: ground elevation must be finite"),
+            (2, "|90.0|", "|inf|", "line 3: structure height must be finite"),
         ],
     )
     def test_bad_field(self, line_index, old, new, match):

@@ -181,6 +181,10 @@ class TestMalformedPages:
             ("locations", "<td>200.0</td>", "<td>high</td>"),  # bad elevation
             ("dates", "03/01/2015", "13/01/2015"),  # bad US date
             ("paths", "<td>1</td>", "<td>1.5</td>"),  # non-integer path number
+            ("locations", "<td>90.0</td>", "<td>nan</td>"),  # NaN height
+            ("locations", "<td>200.0</td>", "<td>nan</td>"),  # NaN elevation
+            ("paths", "<td>10995.0", "<td>nan"),  # NaN frequency
+            ("paths", "<td>10995.0", "<td>inf"),  # infinite frequency
         ],
     )
     def test_bad_detail_row(self, stack, table_id, old, new):
